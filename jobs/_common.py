@@ -15,7 +15,7 @@ def get_spark(app: str) -> SparkSession:
         .master("local[*]")
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
-        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.ui.showConsoleProgress", "false")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

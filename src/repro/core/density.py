@@ -11,15 +11,12 @@ merchant nodes, no edge term) is read this way: the paper attributes
 the metric to FRAUDAR [13] and claims the FRAUDAR min-heap complexity,
 both of which require the per-edge form.
 
-Two implementations are provided: a numpy one used by the solvers, and
-a Spark/DataFrame one (``phi_spark``) used to oracle-check the numpy
-math against DuckDB SQL in tests.
+Plain numpy on local graphs: the solvers run it inside Spark workers
+and in the driver, so this module imports no pyspark.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graph.bipartite import BipartiteGraph
 
@@ -64,24 +61,3 @@ def phi(
     if n_nodes is None:
         n_nodes = len(g.present_u()) + len(g.present_v())
     return f / n_nodes if n_nodes > 0 else 0.0
-
-
-def phi_spark(edges: DataFrame, c: float = DEFAULT_C) -> float:
-    """Same score computed with DataFrame aggregations (for oracle tests).
-
-    ``edges`` must have columns ``pin`` and ``merchant``; an optional
-    ``w`` column supplies edge weights (default 1.0).
-    """
-    w = F.col("w") if "w" in edges.columns else F.lit(1.0)
-    deg = edges.groupBy("merchant").agg(F.count(F.lit(1)).alias("d_j"))
-    weighted = (
-        edges.join(deg, "merchant")
-        .select((w / F.log(F.col("d_j") + F.lit(float(c)))).alias("val"))
-        .agg(F.sum("val").alias("f"))
-    )
-    f = weighted.collect()[0]["f"]
-    if f is None:
-        return 0.0
-    n_u = edges.select("pin").distinct().count()
-    n_v = edges.select("merchant").distinct().count()
-    return float(f) / (n_u + n_v)

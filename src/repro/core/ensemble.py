@@ -33,12 +33,14 @@ from repro.graph.bipartite import BipartiteGraph
 DETECTED_SCHEMA = "sample_id long, side string, node long, block int, phi double"
 
 
-def _solve_group(pdf: pd.DataFrame, k_max: int, phi_stop_frac: float, c: float) -> pd.DataFrame:
+def _solve_group(
+    pdf: pd.DataFrame, k_max: int, phi_stop_frac: float, c: float, truncate: bool
+) -> pd.DataFrame:
     """Solve FDET on one sampled subgraph (one ``applyInPandas`` group).
 
     Relabels the group's sparse raw ids to a compact space, runs FDET
-    with truncation, and emits one row per detected node per selected
-    block, mapped back to original ids.
+    (with truncation unless ``truncate`` is False: FIX-K), and emits one
+    row per detected node per selected block, mapped back to original ids.
     """
     if pdf.empty:
         return pd.DataFrame(
@@ -47,7 +49,7 @@ def _solve_group(pdf: pd.DataFrame, k_max: int, phi_stop_frac: float, c: float) 
     sample_id = int(pdf["sample_id"].iloc[0])
     raw = BipartiteGraph.from_pandas(pdf, "pin", "merchant", "w")
     g, uids, vids = raw.relabeled()
-    result = fdet(g, k_max=k_max, truncate=True, phi_stop_frac=phi_stop_frac, c=c)
+    result = fdet(g, k_max=k_max, truncate=truncate, phi_stop_frac=phi_stop_frac, c=c)
     rows: list[pd.DataFrame] = []
     for b_idx, block in enumerate(result.selected):
         if len(block.users):
@@ -68,7 +70,7 @@ def _solve_group(pdf: pd.DataFrame, k_max: int, phi_stop_frac: float, c: float) 
                 )
             )
     if not rows:
-        return _solve_group(pd.DataFrame(), k_max, phi_stop_frac, c)
+        return _solve_group(pd.DataFrame(), k_max, phi_stop_frac, c, truncate)
     out = pd.concat(rows, ignore_index=True)
     out.insert(0, "sample_id", sample_id)
     return out.astype(
@@ -81,17 +83,19 @@ def detect_on_samples(
     k_max: int = 30,
     phi_stop_frac: float = 0.05,
     c: float = DEFAULT_C,
+    truncate: bool = True,
 ) -> DataFrame:
     """Run FDET on every sampled subgraph in parallel.
 
     ``samples`` is the output of ``sample_edges_spark``. A node
     detected in several blocks of the *same* sample still casts one
     vote (dedup inside the result via distinct on (sample, side, node)
-    happens at vote time).
+    happens at vote time). ``truncate=False`` keeps all ``k_max``
+    candidate blocks per sample: EnsemFDet-FIX-K on the same samples.
     """
 
     def solver(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _solve_group(pdf, k_max, phi_stop_frac, c)
+        return _solve_group(pdf, k_max, phi_stop_frac, c, truncate)
 
     return samples.groupBy("sample_id").applyInPandas(solver, schema=DETECTED_SCHEMA)
 
@@ -113,6 +117,8 @@ def vote(detected: DataFrame) -> DataFrame:
 
 def accept(votes: DataFrame, t: int, side: str | None = "pin") -> DataFrame:
     """Nodes accepted at voting threshold ``t`` (optionally one side only)."""
+    if t < 1:
+        raise ValueError(f"voting threshold T must be >= 1, got {t}")
     out = votes.where(F.col("votes") >= int(t))
     if side is not None:
         out = out.where(F.col("side") == side)
@@ -131,6 +137,8 @@ class EnsemFDetRun:
 
     def detected_pins(self, t: int) -> np.ndarray:
         """Accepted PIN ids at threshold ``t`` (collected to the driver)."""
+        if not 1 <= t <= self.n:
+            raise ValueError(f"voting threshold T must be in [1, N={self.n}], got {t}")
         rows = accept(self.votes, t, side="pin").select("node").collect()
         return np.asarray(sorted(r["node"] for r in rows), dtype=np.int64)
 
@@ -159,20 +167,11 @@ def ensemfdet(
 
     The vote DataFrame is eagerly cached and counted so that timing a
     call to this function measures the whole sample→solve→vote compute
-    (Table III), not a lazy plan.
+    (Table III), not a lazy plan. ``spark`` is not used: the pipeline
+    runs in ``edges``' session and changes none of its settings.
     """
     samples = sample_edges_spark(edges, method, s, n, seed)
     detected = detect_on_samples(samples, k_max=k_max, phi_stop_frac=phi_stop_frac, c=c)
     votes = vote(detected).cache()
-    # The groupBy(sample_id) shuffle hashes N groups into the session's
-    # shuffle partitions; with partitions ~ N, several multi-second FDET
-    # groups collide into one task and straggle. Spread them out for
-    # the duration of this (eagerly executed) pipeline.
-    conf = spark.conf
-    old_parts = conf.get("spark.sql.shuffle.partitions")
-    conf.set("spark.sql.shuffle.partitions", str(max(int(old_parts), 3 * n)))
-    try:
-        votes.count()  # force execution
-    finally:
-        conf.set("spark.sql.shuffle.partitions", old_parts)
+    votes.count()  # force execution
     return EnsemFDetRun(votes=votes, method=method, s=s, n=n, k_max=k_max)

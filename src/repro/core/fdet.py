@@ -68,12 +68,6 @@ class FdetResult:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate([b.users for b in blocks]))
 
-    def detected_merchants(self, k: int | None = None) -> np.ndarray:
-        blocks = self.blocks[: self.k_hat if k is None else k]
-        if not blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([b.merchants for b in blocks]))
-
 
 def fdet(
     g: BipartiteGraph,

@@ -23,14 +23,12 @@ class PeelResult:
     """One detected dense block.
 
     ``users`` / ``merchants`` are original-id arrays; ``phi`` is the
-    block's density score; ``phi_sequence`` (optional, capture_curve)
-    is φ after each node removal, for Fig.-1-style curves.
+    block's density score.
     """
 
     users: np.ndarray
     merchants: np.ndarray
     phi: float
-    phi_sequence: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -41,7 +39,6 @@ def peel_densest(
     g: BipartiteGraph,
     w_col: np.ndarray | None = None,
     c: float = DEFAULT_C,
-    capture_curve: bool = False,
 ) -> PeelResult:
     """Extract the single densest block of ``g`` under φ.
 
@@ -88,7 +85,6 @@ def peel_densest(
     best_phi = f / n_active
     best_removed = 0
     removal_order: list[int] = []
-    curve = [best_phi] if capture_curve else None
 
     # Hot loop works on plain Python lists/bytearrays: numpy scalar
     # indexing inside a per-edge loop costs ~3x more than list access,
@@ -122,8 +118,6 @@ def peel_densest(
         removal_order.append(x)
         n_active -= 1
         cur_phi = f / n_active
-        if capture_curve:
-            curve.append(cur_phi)
         if cur_phi > best_phi + 1e-15:
             best_phi = cur_phi
             best_removed = len(removal_order)
@@ -140,5 +134,4 @@ def peel_densest(
         users=users.astype(np.int64),
         merchants=merchants.astype(np.int64),
         phi=float(best_phi),
-        phi_sequence=np.asarray(curve) if capture_curve else None,
     )

@@ -11,15 +11,15 @@ Three methods, each producing N sampled subgraphs at ratio S:
   keep edges whose *both* endpoints were sampled (~S² of the edges,
   as the paper notes).
 
-The Spark variants materialize all N samples in **one distributed
+``sample_edges_spark`` materializes all N samples in **one distributed
 pass**: each edge row is exploded into the sample ids that keep it,
 with membership decided by ``xxhash64(endpoint(s), sample_id, seed)``
 — a pure function of (ids, sample, seed), so sampling is deterministic,
 reproducible across retries, and needs no join against a sampled-node
 table (an ONS node is "sampled in i" iff its hash falls below S).
 
-The local numpy variants implement the identical semantics for
-property tests (Lemma 1, Theorem 1) without Spark overhead.
+This is the only sampler: the pipeline, the figure harnesses and the
+Lemma 1 / Theorem 1 statistical tests all draw their samples from it.
 """
 from __future__ import annotations
 
@@ -27,9 +27,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.bipartite import BipartiteGraph
-
-#: Sampling-method names accepted by the Spark/local dispatchers.
+#: Sampling-method names accepted by ``sample_edges_spark``.
 METHODS = ("RES", "ONS_PIN", "ONS_MERCHANT", "TNS")
 
 # Hash buckets for the inclusion predicate: P(include) = S to ~1e-6.
@@ -90,55 +88,6 @@ def sample_edges_spark(
         .where(keep)
         .select("sample_id", "pin", "merchant", w.alias("w"))
     )
-
-
-# ------------------------------------------------------------------ local
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def res_local(
-    g: BipartiteGraph, s: float, seed: int = 0, rescale_weights: bool = False
-) -> BipartiteGraph:
-    """Local RES: keep each edge i.i.d. with probability ``s``."""
-    mask = _rng(seed).random(g.n_edges) < s
-    out = g.keep_edges(mask)
-    if rescale_weights:
-        out.w = out.w / s
-    return out
-
-
-def ons_local(g: BipartiteGraph, s: float, side: str = "merchant", seed: int = 0) -> BipartiteGraph:
-    """Local ONS: keep all edges incident to a sampled ``side`` node."""
-    rng = _rng(seed)
-    if side == "pin":
-        picked = rng.random(g.n_u) < s
-        return g.keep_edges(picked[g.u])
-    if side == "merchant":
-        picked = rng.random(g.n_v) < s
-        return g.keep_edges(picked[g.v])
-    raise ValueError(f"side must be 'pin' or 'merchant', got {side!r}")
-
-
-def tns_local(g: BipartiteGraph, s: float, seed: int = 0) -> BipartiteGraph:
-    """Local TNS: keep edges whose both endpoints were sampled."""
-    rng = _rng(seed)
-    pu = rng.random(g.n_u) < s
-    pv = rng.random(g.n_v) < s
-    return g.keep_edges(pu[g.u] & pv[g.v])
-
-
-def sample_local(g: BipartiteGraph, method: str, s: float, seed: int = 0) -> BipartiteGraph:
-    """Dispatch a local sample by method name (same names as Spark)."""
-    if method == "RES":
-        return res_local(g, s, seed)
-    if method == "ONS_PIN":
-        return ons_local(g, s, "pin", seed)
-    if method == "ONS_MERCHANT":
-        return ons_local(g, s, "merchant", seed)
-    if method == "TNS":
-        return tns_local(g, s, seed)
-    raise ValueError(f"unknown sampling method {method!r}; one of {METHODS}")
 
 
 def expected_sampled_degree_counts(

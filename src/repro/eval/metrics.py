@@ -2,16 +2,13 @@
 
 The paper evaluates detected PIN sets with Precision / Recall / F1
 ("Accuracy … seems not very significant, because the proportion of
-fraud samples is quite low"). Local numpy versions drive the curve
-sweeps; a Spark version computes the same numbers with DataFrame joins
-so tests can oracle-check the aggregation against DuckDB SQL.
+fraud samples is quite low"). Everything here is driver-side numpy over
+collected vote tables and score arrays; this module imports no pyspark.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 def prf(detected: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
@@ -29,26 +26,6 @@ def prf(detected: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
 def f1_score(precision: float, recall: float) -> float:
     """Harmonic mean, 0 when both are 0."""
     return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-
-
-def prf_spark(
-    detected: DataFrame, labels: DataFrame
-) -> tuple[float, float, float]:
-    """Spark-side P/R/F1.
-
-    ``detected``: DataFrame with a ``node`` column of flagged pins.
-    ``labels``: DataFrame (pin, is_fraud) covering all pins.
-    """
-    d = detected.select(F.col("node").alias("pin")).distinct()
-    joined = d.join(labels, "pin", "left")
-    n_detected = joined.count()
-    if n_detected == 0:
-        return 0.0, 0.0, 0.0
-    tp = joined.where(F.col("is_fraud")).count()
-    n_truth = labels.where(F.col("is_fraud")).count()
-    precision = tp / n_detected
-    recall = tp / n_truth if n_truth else 0.0
-    return precision, recall, f1_score(precision, recall)
 
 
 def threshold_sweep(

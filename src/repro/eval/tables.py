@@ -13,13 +13,14 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
 from repro.baselines.fbox import fbox_scores
 from repro.baselines.fraudar import fraudar, fraudar_points
 from repro.baselines.spoken import spoken_scores
-from repro.core.ensemble import ensemfdet
+from repro.core.ensemble import detect_on_samples, ensemfdet, vote
 from repro.core.fdet import fdet
-from repro.core.sampling import sample_local
+from repro.core.sampling import sample_edges_spark
 from repro.eval.metrics import prf, score_sweep, threshold_sweep
 from repro.graph.bipartite import BipartiteGraph
 from repro.synth_data import JD_PRESETS, jd_transactions
@@ -144,16 +145,27 @@ def table3_rows(
 
 # ------------------------------------------------------- figure-shape claims
 def fig1_block_scores(
-    preset: str = "jd3", scale: float = 0.01, s: float = 0.1, n_curves: int = 5, seed: int = 0
+    spark: SparkSession,
+    preset: str = "jd3",
+    scale: float = 0.01,
+    s: float = 0.1,
+    n_curves: int = 5,
+    seed: int = 0,
 ) -> pd.DataFrame:
-    """Per-block φ sequences on several sampled graphs (Fig. 1 data)."""
-    _, g, _, _ = _graph(preset, scale, seed)
+    """Per-block φ sequences on several sampled graphs (Fig. 1 data).
+
+    The samples are the pipeline's own: one RES ``sample_edges_spark``
+    pass with N = ``n_curves``, each sample relabeled as the per-sample
+    solve does and run through FDET without truncation.
+    """
+    edges, _, _ = jd_transactions(preset, scale, seed)
+    samples = sample_edges_spark(spark.createDataFrame(edges), "RES", s, n_curves, seed)
     rows = []
-    for i in range(n_curves):
-        sub = sample_local(g, "RES", s, seed=seed + i)
-        res = fdet(sub.relabeled()[0], truncate=False, k_max=20)
+    for i, grp in samples.toPandas().groupby("sample_id", sort=True):
+        g, _, _ = BipartiteGraph.from_pandas(grp, w_col="w").relabeled()
+        res = fdet(g, truncate=False, k_max=20)
         for j, phi in enumerate(res.phis, start=1):
-            rows.append(dict(sample=i, block=j, phi=float(phi)))
+            rows.append(dict(sample=int(i), block=j, phi=float(phi)))
     return pd.DataFrame(rows)
 
 
@@ -273,47 +285,31 @@ def truncation_comparison(
 ) -> pd.DataFrame:
     """EnsemFDet (truncating point) vs EnsemFDet-FIX-K (Fig. 6).
 
-    FIX-K is the same pipeline with truncation disabled and k fixed —
-    implemented by setting ``phi_stop_frac=0`` and a solver that keeps
-    all ``k_fix`` blocks. Also records the max k̂ observed (paper: all
-    < 15 with truncation).
+    Both variants run the pipeline's per-sample solve and vote on the
+    same RES samples (one ``sample_edges_spark`` call): the truncated
+    variant keeps each sample's first k̂ blocks, FIX-K keeps all
+    ``k_fix`` (``truncate=False``). ``max_k_hat`` is the largest k̂ of
+    the truncated run, read from its block indices (paper: all < 15).
     """
-    edges, g, truth, _ = _graph(preset, scale, seed)
-    edges_df = spark.createDataFrame(edges).cache()
-    edges_df.count()
+    edges, _, truth, _ = _graph(preset, scale, seed)
+    samples = sample_edges_spark(spark.createDataFrame(edges), "RES", s, n, seed).cache()
     rows = []
-
-    run = ensemfdet(spark, edges_df, method="RES", s=s, n=n, seed=seed, k_max=k_fix)
-    sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
-    run.votes.unpersist()
-    best = sweep.loc[sweep["f1"].idxmax()]
-    rows.append(
-        dict(variant="EnsemFDet (truncated)", precision=best["precision"],
-             recall=best["recall"], f1=best["f1"], n_detected=int(best["n_detected"]))
-    )
-
-    # FIX-K: per-sample k̂ observed locally for the record, then the
-    # fixed-k ensemble via a local emulation of the same vote pipeline.
-    k_hats, votes = [], {}
-    for i in range(n):
-        sub = sample_local(g, "RES", s, seed=seed + i)
-        compact, uids, _ = sub.relabeled()
-        res_tr = fdet(compact, k_max=k_fix, truncate=True)
-        k_hats.append(res_tr.k_hat)
-        res_fx = fdet(compact, k_max=k_fix, truncate=False)
-        for pin in uids[res_fx.detected_users(k=k_fix)]:
-            votes[pin] = votes.get(pin, 0) + 1
-    pv = pd.DataFrame({"node": list(votes), "votes": list(votes.values())})
-    sweep_fx = threshold_sweep(pv, truth, np.arange(1, n + 1))
-    best_fx = sweep_fx.loc[sweep_fx["f1"].idxmax()]
-    rows.append(
-        dict(variant=f"EnsemFDet-FIX-K (k={k_fix})", precision=best_fx["precision"],
-             recall=best_fx["recall"], f1=best_fx["f1"], n_detected=int(best_fx["n_detected"]))
-    )
-    edges_df.unpersist()
+    for truncate, variant in ((True, "EnsemFDet (truncated)"), (False, f"EnsemFDet-FIX-K (k={k_fix})")):
+        detected = detect_on_samples(samples, k_max=k_fix, truncate=truncate).cache()
+        if truncate:
+            max_k_hat = int(detected.agg(F.max("block")).collect()[0][0]) + 1
+        pin_votes = vote(detected).where(F.col("side") == "pin").toPandas()
+        detected.unpersist()
+        sweep = threshold_sweep(pin_votes, truth, np.arange(1, n + 1))
+        best = sweep.loc[sweep["f1"].idxmax()]
+        rows.append(
+            dict(variant=variant, precision=best["precision"], recall=best["recall"],
+                 f1=best["f1"], n_detected=int(best["n_detected"]))
+        )
+    samples.unpersist()
     out = pd.DataFrame(rows)
     out.insert(0, "dataset", preset)
-    out["max_k_hat"] = max(k_hats)
+    out["max_k_hat"] = max_k_hat
     return out
 
 

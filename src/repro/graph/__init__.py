@@ -1,2 +1,2 @@
-"""Bipartite graph substrate: local edge-array container + Spark interop."""
+"""Bipartite graph substrate: the local edge-array container the solvers run on."""
 from repro.graph.bipartite import BipartiteGraph  # noqa: F401

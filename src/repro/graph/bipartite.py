@@ -14,7 +14,7 @@ worker.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -101,11 +101,6 @@ class BipartiteGraph:
         """Ids of merchants with at least one incident edge."""
         return np.unique(self.v)
 
-    def copy(self) -> "BipartiteGraph":
-        return BipartiteGraph(
-            u=self.u.copy(), v=self.v.copy(), w=self.w.copy(), n_u=self.n_u, n_v=self.n_v
-        )
-
     # ------------------------------------------------------------ mutations
     def keep_edges(self, mask: np.ndarray) -> "BipartiteGraph":
         """New graph with only the edges where ``mask`` is True (same id spaces)."""
@@ -129,24 +124,25 @@ class BipartiteGraph:
         return self.keep_edges(~drop)
 
     def relabeled(self) -> tuple["BipartiteGraph", np.ndarray, np.ndarray]:
-        """Compact to contiguous ids.
+        """Compact to contiguous ids, with edges in canonical order.
 
         Returns ``(graph, uids, vids)`` where ``uids[k]`` is the original
         id of compact user ``k`` (same for merchants). Used when a Spark
         group hands us a subgraph whose raw ids are sparse in a huge id
-        space.
+        space. Edges come back sorted by (u, v, w): Spark delivers a
+        group's rows in an order that depends on the input partitioning,
+        and the peel's float sums and heap ties depend on edge order, so
+        sorting here makes each per-sample solve a function of the edge
+        set alone.
         """
         uids, u_new = np.unique(self.u, return_inverse=True)
         vids, v_new = np.unique(self.v, return_inverse=True)
+        order = np.lexsort((self.w, v_new, u_new))
         g = BipartiteGraph(
-            u=u_new.astype(np.int64),
-            v=v_new.astype(np.int64),
-            w=self.w.copy(),
+            u=u_new[order].astype(np.int64),
+            v=v_new[order].astype(np.int64),
+            w=self.w[order],
             n_u=len(uids),
             n_v=len(vids),
         )
         return g, uids, vids
-
-    def to_pandas(self, u_col: str = "pin", v_col: str = "merchant") -> pd.DataFrame:
-        """Edge frame with weight column ``w`` (round-trips ``from_pandas``)."""
-        return pd.DataFrame({u_col: self.u, v_col: self.v, "w": self.w})

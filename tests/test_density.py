@@ -1,11 +1,11 @@
-"""Tests for the density score φ — numpy math, Spark parity, DuckDB oracle."""
+"""Tests for the density score φ: the numpy math, its properties, and DuckDB oracles for the Spark aggregations behind it."""
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.density import DEFAULT_C, edge_values, merchant_weights, phi, phi_spark
+from repro.core.density import DEFAULT_C, edge_values, merchant_weights, phi
 from repro.graph.bipartite import BipartiteGraph
 from repro.oracle import assert_equivalent
 
@@ -101,25 +101,15 @@ class TestPhi:
 
 
 class TestPhiSpark:
+    """The Spark aggregations behind φ (merchant degree, weighted mass)
+    match DuckDB SQL on the same edges."""
+
     @pytest.fixture(scope="class")
     def edge_pdf(self):
         rng = np.random.default_rng(7)
         return pd.DataFrame(
             {"pin": rng.integers(0, 40, 250), "merchant": rng.integers(0, 25, 250)}
         ).drop_duplicates(ignore_index=True)
-
-    def test_spark_matches_local(self, spark, edge_pdf):
-        g = BipartiteGraph.from_pandas(edge_pdf)
-        assert phi_spark(spark.createDataFrame(edge_pdf)) == pytest.approx(
-            phi(g), rel=1e-9
-        )
-
-    def test_spark_weighted_matches_local(self, spark, edge_pdf):
-        pdf = edge_pdf.assign(w=2.5)
-        g = BipartiteGraph.from_pandas(pdf, w_col="w")
-        assert phi_spark(spark.createDataFrame(pdf)) == pytest.approx(
-            phi(g, w_col=merchant_weights(g.degrees_v())), rel=1e-9
-        )
 
     def test_degree_aggregation_oracle(self, spark, edge_pdf):
         """The merchant-degree groupBy matches DuckDB SQL exactly."""
@@ -155,7 +145,3 @@ class TestPhiSpark:
             """,
             edges=edge_pdf,
         )
-
-    def test_phi_spark_on_jd(self, spark, jd1_small):
-        edges, _, g, _, _ = jd1_small
-        assert phi_spark(spark.createDataFrame(edges)) == pytest.approx(phi(g), rel=1e-9)

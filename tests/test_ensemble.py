@@ -142,6 +142,26 @@ class TestEnsemFDetEndToEnd:
         }
         assert via_api == via_accept
 
+    @pytest.mark.parametrize(
+        "reject",
+        [lambda run: accept(run.votes, 0), lambda run: run.detected_pins(0), lambda run: run.detected_pins(13)],
+        ids=["accept-T0", "detected_pins-T0", "detected_pins-T-above-N"],
+    )
+    def test_bad_threshold_rejected(self, jd1_run, reject):
+        run, _, _ = jd1_run
+        with pytest.raises(ValueError, match="voting threshold"):
+            reject(run)
+
+    def test_votes_invariant_to_input_partitioning(self, spark, jd1_small):
+        edges, *_ = jd1_small
+        edges_df = spark.createDataFrame(edges)
+        tables = []
+        for parts in (1, 7):
+            run = ensemfdet(spark, edges_df.repartition(parts), method="RES", s=0.3, n=12, seed=0)
+            tables.append(run.votes.toPandas().sort_values(["side", "node"], ignore_index=True))
+            run.votes.unpersist()
+        pd.testing.assert_frame_equal(*tables)
+
     def test_deterministic_across_runs(self, spark, jd1_small):
         edges, _, _, truth, _ = jd1_small
         edges_df = spark.createDataFrame(edges)

@@ -1,11 +1,11 @@
-"""Tests for evaluation metrics — local, Spark, and DuckDB-oracle parity."""
+"""Tests for the evaluation metrics: precision/recall/F1, the curve sweeps, and a DuckDB oracle for the Spark true-positive join."""
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval.metrics import f1_score, prf, prf_spark, score_sweep, threshold_sweep
+from repro.eval.metrics import f1_score, prf, score_sweep, threshold_sweep
 from repro.oracle import assert_equivalent
 
 
@@ -89,30 +89,15 @@ class TestScoreSweep:
 
 
 class TestPrfSpark:
+    """The detected-⋈-labels join that counts true positives in Spark
+    matches DuckDB SQL."""
+
     @pytest.fixture(scope="class")
     def labels_pdf(self):
         rng = np.random.default_rng(3)
         return pd.DataFrame(
             {"pin": np.arange(100), "is_fraud": rng.random(100) < 0.2}
         )
-
-    def test_matches_local(self, spark, labels_pdf):
-        rng = np.random.default_rng(4)
-        detected = rng.choice(100, 30, replace=False)
-        truth = labels_pdf.loc[labels_pdf["is_fraud"], "pin"].to_numpy()
-        local = prf(detected, truth)
-        got = prf_spark(
-            spark.createDataFrame(pd.DataFrame({"node": detected})),
-            spark.createDataFrame(labels_pdf),
-        )
-        assert got == pytest.approx(local)
-
-    def test_empty_detection(self, spark, labels_pdf):
-        got = prf_spark(
-            spark.createDataFrame([], "node long"),
-            spark.createDataFrame(labels_pdf),
-        )
-        assert got == (0.0, 0.0, 0.0)
 
     def test_tp_join_oracle(self, spark, labels_pdf):
         """The detected⋈labels true-positive count matches DuckDB."""

@@ -83,17 +83,6 @@ class TestPeelMicro:
         r = peel_densest(g)
         assert r.users.tolist() == [1] and r.merchants.tolist() == [1]
 
-    def test_capture_curve(self, micro_clique):
-        g, _, _ = micro_clique
-        r = peel_densest(g, capture_curve=True)
-        n_active = len(g.present_u()) + len(g.present_v())
-        assert len(r.phi_sequence) == n_active  # initial + one per removal until 1 left
-        assert max(r.phi_sequence) == pytest.approx(r.phi)
-
-    def test_curve_none_by_default(self, micro_clique):
-        g, _, _ = micro_clique
-        assert peel_densest(g).phi_sequence is None
-
 
 class TestPeelProperties:
     @given(st.integers(0, 10_000))
@@ -131,8 +120,7 @@ class TestPeelProperties:
     def test_scale_invariance_of_argmax(self, micro_clique):
         """Theorem-1 rescaling (all weights × 1/p) must not change the block."""
         g, _, _ = micro_clique
-        scaled = g.copy()
-        scaled.w = scaled.w * 10.0
+        scaled = BipartiteGraph(g.u, g.v, g.w * 10.0, g.n_u, g.n_v)
         r, rs = peel_densest(g), peel_densest(scaled)
         assert r.users.tolist() == rs.users.tolist()
         assert rs.phi == pytest.approx(10.0 * r.phi)

@@ -1,19 +1,15 @@
-"""Tests for RES/ONS/TNS sampling — Spark and local variants, Lemma 1, Theorem 1."""
+"""Tests for RES/ONS/TNS sampling, Lemma 1 and Theorem 1, all on the Spark sampler."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.density import phi
+from repro.core.density import merchant_weights, phi
 from repro.core.sampling import (
     METHODS,
     expected_sampled_degree_counts,
     lemma1_crossover,
-    ons_local,
-    res_local,
     sample_edges_spark,
-    sample_local,
-    tns_local,
 )
 from repro.graph.bipartite import BipartiteGraph
 from repro.oracle import assert_equivalent
@@ -140,46 +136,6 @@ class TestSparkSamplingSemantics:
         )
 
 
-class TestLocalSampling:
-    @pytest.fixture(scope="class")
-    def g(self, edge_pdf):
-        return BipartiteGraph.from_pandas(edge_pdf)
-
-    def test_res_ratio(self, g):
-        sub = res_local(g, 0.3, seed=0)
-        assert abs(sub.n_edges - 0.3 * g.n_edges) < 0.1 * g.n_edges
-
-    def test_res_rescale(self, g):
-        sub = res_local(g, 0.5, seed=0, rescale_weights=True)
-        assert np.allclose(sub.w, 2.0)
-
-    def test_ons_bad_side(self, g):
-        with pytest.raises(ValueError, match="side must be"):
-            ons_local(g, 0.3, side="bogus")
-
-    @pytest.mark.parametrize("side", ["pin", "merchant"])
-    def test_ons_keeps_whole_nodes(self, g, side):
-        sub = ons_local(g, 0.3, side=side, seed=1)
-        deg_full = g.degrees_u() if side == "pin" else g.degrees_v()
-        deg_sub = sub.degrees_u() if side == "pin" else sub.degrees_v()
-        present = np.nonzero(deg_sub)[0]
-        assert np.array_equal(deg_sub[present], deg_full[present])
-
-    def test_tns_subset_of_ons(self, g):
-        tns = tns_local(g, 0.5, seed=2)
-        assert tns.n_edges <= ons_local(g, 0.5, "pin", seed=2).n_edges
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_dispatch(self, g, method):
-        sub = sample_local(g, method, 0.3, seed=0)
-        assert sub.n_edges <= g.n_edges
-        assert sub.n_u == g.n_u and sub.n_v == g.n_v
-
-    def test_dispatch_bad_method(self, g):
-        with pytest.raises(ValueError, match="unknown sampling method"):
-            sample_local(g, "NOPE", 0.3)
-
-
 class TestLemma1:
     """ES samples high-degree nodes at a higher rate than NS (Lemma 1)."""
 
@@ -197,65 +153,68 @@ class TestLemma1:
         assert np.all(e_es[q > q_star] > e_ns[q > q_star])
         assert np.all(e_es[(q > 0) & (q < q_star)] < e_ns[(q > 0) & (q < q_star)])
 
-    def test_empirical_lemma1(self):
+    def test_empirical_lemma1(self, spark):
         """Monte-Carlo check on a graph with a degree spread: RES(=ES)
         retains high-degree merchants more often than ONS(=NS)."""
         rng = np.random.default_rng(0)
         # merchant 0 has degree 60; merchants 1..60 degree 1
         u = np.concatenate([rng.permutation(60), np.arange(60, 120)])
         v = np.concatenate([np.zeros(60, np.int64), np.arange(1, 61)])
-        g = BipartiteGraph.from_edges(u, v)
+        edges = spark.createDataFrame(pd.DataFrame({"pin": u, "merchant": v}))
         s = 0.2
-        hit_es = hit_ns = 0
-        for i in range(200):
-            if 0 in res_local(g, s, seed=i).present_v():
-                hit_es += 1
-            if 0 in ons_local(g, s, "merchant", seed=i).present_v():
-                hit_ns += 1
+
+        def samples_with_merchant_0(method):
+            out = sample_edges_spark(edges, method, s, 200, seed=0)
+            return out.where(F.col("merchant") == 0).select("sample_id").distinct().count()
+
+        hit_es = samples_with_merchant_0("RES")
+        hit_ns = samples_with_merchant_0("ONS_MERCHANT")
         assert hit_es > hit_ns  # ~100% vs ~20%
 
 
+def rescaled_phi_errors(spark, g: BipartiteGraph, p: float, n: int) -> list[float]:
+    """Relative φ error of each of ``n`` RES samples at ratio ``p``, with
+    1/p weights, against the full graph; column weights stay those of
+    the full graph on both sides."""
+    w_col = merchant_weights(g.degrees_v())
+    full = phi(g, w_col=w_col)
+    edges = spark.createDataFrame(pd.DataFrame({"pin": g.u, "merchant": g.v}))
+    pdf = sample_edges_spark(edges, "RES", p, n, seed=0, rescale_weights=True).toPandas()
+    return [
+        abs(phi(BipartiteGraph.from_pandas(grp, w_col="w", n_u=g.n_u, n_v=g.n_v), w_col=w_col) - full)
+        / full
+        for _, grp in pdf.groupby("sample_id")
+    ]
+
+
 class TestTheorem1:
-    def test_eps_approximation_of_phi(self):
+    """The graphs here repeat some (pin, merchant) rows; the hash sampler
+    keeps or drops each repeat together with its twin, which leaves the
+    rescaled edge mass an unbiased estimator of f."""
+
+    def test_eps_approximation_of_phi(self, spark):
         """RES with 1/p rescaling approximates φ of a dense graph.
 
         Column weights are held fixed (from the full graph) on both
         sides, matching Theorem 1's setting where the metric's weights
         are data of the problem: the rescaled edge mass is then an
         unbiased estimator of f and φ concentrates."""
-        from repro.core.density import merchant_weights
-
         rng = np.random.default_rng(1)
         # dense-ish graph so per-merchant degrees concentrate
         u = rng.integers(0, 80, 6000)
         v = rng.integers(0, 60, 6000)
         g = BipartiteGraph.from_edges(u, v, n_u=80, n_v=60)
-        w_col = merchant_weights(g.degrees_v())
-        full = phi(g, w_col=w_col)
-        p = 0.5
-        errs = []
-        for i in range(10):
-            sub = res_local(g, p, seed=i, rescale_weights=True)
-            errs.append(abs(phi(sub, w_col=w_col) - full) / full)
+        errs = rescaled_phi_errors(spark, g, 0.5, 10)
         assert np.mean(errs) < 0.05  # ε-approximation in expectation
 
-    def test_eps_error_shrinks_with_p(self):
+    def test_eps_error_shrinks_with_p(self, spark):
         """Higher sampling probability → tighter φ approximation."""
-        from repro.core.density import merchant_weights
-
         rng = np.random.default_rng(2)
         u = rng.integers(0, 80, 6000)
         v = rng.integers(0, 60, 6000)
         g = BipartiteGraph.from_edges(u, v, n_u=80, n_v=60)
-        w_col = merchant_weights(g.degrees_v())
-        full = phi(g, w_col=w_col)
 
         def mean_err(p):
-            errs = [
-                abs(phi(res_local(g, p, seed=i, rescale_weights=True), w_col=w_col) - full)
-                / full
-                for i in range(12)
-            ]
-            return np.mean(errs)
+            return np.mean(rescaled_phi_errors(spark, g, p, 12))
 
         assert mean_err(0.8) < mean_err(0.1)

@@ -1,20 +1,11 @@
-"""Tests for the synthetic data generators (JD-lite + provided TPC-H-lite)."""
+"""Tests for the JD-lite synthetic fraud-graph generator."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.density import merchant_weights, phi
 from repro.graph.bipartite import BipartiteGraph
-from repro.synth_data import (
-    JD_PRESETS,
-    customer,
-    jd_transactions,
-    jd_transactions_spark,
-    lineitem,
-    orders,
-    part,
-    zipf_keys,
-)
+from repro.synth_data import JD_PRESETS, jd_transactions
 
 
 class TestJdGenerator:
@@ -94,36 +85,12 @@ class TestJdGenerator:
         assert labeled == set(meta["fraud_pins"].tolist())
 
     def test_spark_wrapper(self, spark):
-        edges_df, users_df, meta = jd_transactions_spark(spark, "jd1", scale=0.002)
-        assert edges_df.count() == meta["n_edge"]
-        assert users_df.count() == meta["n_pin"]
+        """The generator's frames load into Spark, as callers do, row for row."""
+        edges, users, meta = jd_transactions("jd1", scale=0.002)
+        assert spark.createDataFrame(edges).count() == meta["n_edge"]
+        assert spark.createDataFrame(users).count() == meta["n_pin"]
 
     def test_scale_grows_graph(self):
         small = jd_transactions("jd1", scale=0.002)[2]["n_edge"]
         big = jd_transactions("jd1", scale=0.01)[2]["n_edge"]
         assert big > 3 * small
-
-
-class TestTpchLite:
-    """Sanity for the provided TPC-H-lite generators (they back the oracle
-    tests and stay available for OLAP-flavoured substrates)."""
-
-    def test_lineitem(self, spark):
-        df = lineitem(spark, sf=0.001)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns
-
-    def test_orders_keys_unique(self, spark):
-        df = orders(spark, sf=0.001)
-        assert df.count() == df.select("o_orderkey").distinct().count()
-
-    def test_customer(self, spark):
-        assert customer(spark, sf=0.001).count() == 150
-
-    def test_part(self, spark):
-        assert part(spark, sf=0.001).count() == 200
-
-    def test_zipf_keys_skewed(self, spark):
-        df = zipf_keys(spark, n=5000, n_keys=100, alpha=1.2).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]

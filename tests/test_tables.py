@@ -9,6 +9,7 @@ from repro.eval.tables import (
     format_markdown,
     table1_rows,
     table2_rows,
+    truncation_comparison,
 )
 
 
@@ -47,15 +48,23 @@ class TestTable3Constants:
 
 
 class TestFig1:
-    def test_block_scores_decreasing_per_sample(self):
-        df = fig1_block_scores(preset="jd1", scale=0.002, n_curves=3)
+    def test_block_scores_decreasing_per_sample(self, spark):
+        df = fig1_block_scores(spark, preset="jd1", scale=0.002, n_curves=3)
         for _, grp in df.groupby("sample"):
             phis = grp.sort_values("block")["phi"].to_numpy()
             assert np.all(np.diff(phis) <= 1e-9)
 
-    def test_multiple_curves(self):
-        df = fig1_block_scores(preset="jd1", scale=0.002, n_curves=3)
+    def test_multiple_curves(self, spark):
+        df = fig1_block_scores(spark, preset="jd1", scale=0.002, n_curves=3)
         assert df["sample"].nunique() == 3
+
+
+class TestFig6:
+    def test_both_variants_on_shared_samples(self, spark):
+        df = truncation_comparison(spark, preset="jd1", scale=0.002, s=0.3, n=6, k_fix=10)
+        assert df["variant"].tolist() == ["EnsemFDet (truncated)", "EnsemFDet-FIX-K (k=10)"]
+        assert 1 <= df["max_k_hat"].iloc[0] < 15  # paper: every k̂ < 15
+        assert (df["f1"] > 0).all()
 
 
 class TestFormatMarkdown:
