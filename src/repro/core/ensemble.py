@@ -29,8 +29,9 @@ from repro.core.fdet import fdet
 from repro.core.sampling import sample_edges_spark
 from repro.graph.bipartite import BipartiteGraph
 
-#: Output schema of the grouped FDET solver.
+#: Output schema of the grouped FDET solver, and the pandas dtypes it is built with.
 DETECTED_SCHEMA = "sample_id long, side string, node long, block int, phi double"
+_DETECTED_DTYPES = {"sample_id": "int64", "side": "str", "node": "int64", "block": "int32", "phi": "float64"}
 
 
 def _solve_group(
@@ -42,40 +43,18 @@ def _solve_group(
     (with truncation unless ``truncate`` is False: FIX-K), and emits one
     row per detected node per selected block, mapped back to original ids.
     """
-    if pdf.empty:
-        return pd.DataFrame(
-            {"sample_id": [], "side": [], "node": [], "block": [], "phi": []}
-        ).astype({"sample_id": "int64", "side": "str", "node": "int64", "block": "int32", "phi": "float64"})
-    sample_id = int(pdf["sample_id"].iloc[0])
-    raw = BipartiteGraph.from_pandas(pdf, "pin", "merchant", "w")
-    g, uids, vids = raw.relabeled()
+    g, uids, vids = BipartiteGraph.from_pandas(pdf, "pin", "merchant", "w").relabeled()
     result = fdet(g, k_max=k_max, truncate=truncate, phi_stop_frac=phi_stop_frac, c=c)
-    rows: list[pd.DataFrame] = []
-    for b_idx, block in enumerate(result.selected):
-        if len(block.users):
-            rows.append(
-                pd.DataFrame(
-                    {"side": "pin", "node": uids[block.users], "block": b_idx, "phi": block.phi}
-                )
-            )
-        if len(block.merchants):
-            rows.append(
-                pd.DataFrame(
-                    {
-                        "side": "merchant",
-                        "node": vids[block.merchants],
-                        "block": b_idx,
-                        "phi": block.phi,
-                    }
-                )
-            )
-    if not rows:
-        return _solve_group(pd.DataFrame(), k_max, phi_stop_frac, c, truncate)
-    out = pd.concat(rows, ignore_index=True)
-    out.insert(0, "sample_id", sample_id)
-    return out.astype(
-        {"sample_id": "int64", "side": "str", "node": "int64", "block": "int32", "phi": "float64"}
-    )
+    frames = [
+        pd.DataFrame(
+            {"sample_id": pdf["sample_id"].iloc[0], "side": side, "node": ids[nodes], "block": b, "phi": block.phi}
+        )
+        for b, block in enumerate(result.selected)
+        for side, ids, nodes in (("pin", uids, block.users), ("merchant", vids, block.merchants))
+        if len(nodes)
+    ]
+    empty = [pd.DataFrame(columns=list(_DETECTED_DTYPES))]
+    return pd.concat(frames or empty, ignore_index=True).astype(_DETECTED_DTYPES)
 
 
 def detect_on_samples(

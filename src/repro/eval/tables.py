@@ -4,6 +4,12 @@ Each harness returns plain rows (list[dict] / DataFrame) that the
 ``jobs/`` entrypoints print as markdown next to the paper's numbers;
 EXPERIMENTS.md records both. Everything runs on JD-lite synthetic
 graphs (DESIGN.md §2) at a configurable ``scale``.
+
+The figure harnesses share one evaluation path: ``_ensemble_sweep``
+runs the pipeline (``ensemfdet``: sample → FDET → vote) and sweeps the
+voting threshold T = 1..N, and ``_best`` picks a sweep's best-F1 point.
+Fig. 1 and Fig. 6 read their φ curves and k̂ from ``detect_on_samples``,
+the pipeline's own per-sample solve.
 """
 from __future__ import annotations
 
@@ -12,14 +18,13 @@ import time
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.baselines.fbox import fbox_scores
 from repro.baselines.fraudar import fraudar, fraudar_points
 from repro.baselines.spoken import spoken_scores
 from repro.core.ensemble import detect_on_samples, ensemfdet, vote
-from repro.core.fdet import fdet
 from repro.core.sampling import sample_edges_spark
 from repro.eval.metrics import prf, score_sweep, threshold_sweep
 from repro.graph.bipartite import BipartiteGraph
@@ -35,13 +40,36 @@ PAPER_TABLE3 = {
 }
 
 
-def _graph(preset: str, scale: float, seed: int = 0):
-    edges, users, meta = jd_transactions(preset, scale, seed)
-    g = BipartiteGraph.from_pandas(
-        edges, n_u=meta["n_pin"], n_v=meta["n_merchant"]
-    )
+def _graph(preset: str, scale: float, seed: int = 0, **generator_kwargs):
+    """JD-lite edges, their graph, the fraud PIN ids and the generator's meta."""
+    edges, users, meta = jd_transactions(preset, scale, seed, **generator_kwargs)
+    g = BipartiteGraph.from_pandas(edges, n_u=meta["n_pin"], n_v=meta["n_merchant"])
     truth = users.loc[users["is_fraud"], "pin"].to_numpy()
     return edges, g, truth, meta
+
+
+def _ensemble_sweep(
+    spark: SparkSession, edges_df: DataFrame, truth: np.ndarray, method: str, s: float, n: int, seed: int
+) -> pd.DataFrame:
+    """One ``ensemfdet`` run, swept over every voting threshold T = 1..N.
+
+    The run's cached vote table is released before returning, also
+    when the sweep raises.
+    """
+    run = ensemfdet(spark, edges_df, method=method, s=s, n=n, seed=seed)
+    try:
+        return threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
+    finally:
+        run.votes.unpersist()
+
+
+def _best(sweep: pd.DataFrame) -> dict:
+    """The best-F1 row of a sweep; all zeros when no point scores."""
+    if len(sweep) == 0 or sweep["f1"].max() == 0:
+        return dict(precision=0.0, recall=0.0, f1=0.0, n_detected=0)
+    best = sweep.loc[sweep["f1"].idxmax()]
+    return dict(precision=float(best["precision"]), recall=float(best["recall"]),
+                f1=float(best["f1"]), n_detected=int(best["n_detected"]))
 
 
 # ------------------------------------------------------------------ Table I
@@ -154,19 +182,19 @@ def fig1_block_scores(
 ) -> pd.DataFrame:
     """Per-block φ sequences on several sampled graphs (Fig. 1 data).
 
-    The samples are the pipeline's own: one RES ``sample_edges_spark``
-    pass with N = ``n_curves``, each sample relabeled as the per-sample
-    solve does and run through FDET without truncation.
+    The curves are the pipeline's own: one RES ``sample_edges_spark``
+    pass with N = ``n_curves``, solved by ``detect_on_samples`` without
+    truncation (k = 20); each (sample, block) keeps its φ.
     """
-    edges, _, _ = jd_transactions(preset, scale, seed)
+    edges, _, _, _ = _graph(preset, scale, seed)
     samples = sample_edges_spark(spark.createDataFrame(edges), "RES", s, n_curves, seed)
-    rows = []
-    for i, grp in samples.toPandas().groupby("sample_id", sort=True):
-        g, _, _ = BipartiteGraph.from_pandas(grp, w_col="w").relabeled()
-        res = fdet(g, truncate=False, k_max=20)
-        for j, phi in enumerate(res.phis, start=1):
-            rows.append(dict(sample=int(i), block=j, phi=float(phi)))
-    return pd.DataFrame(rows)
+    return (
+        detect_on_samples(samples, k_max=20, truncate=False)
+        .select(F.col("sample_id").alias("sample"), (F.col("block") + 1).alias("block"), "phi")
+        .distinct()
+        .orderBy("sample", "block")
+        .toPandas()
+    )
 
 
 def method_comparison(
@@ -183,45 +211,20 @@ def method_comparison(
     (EnsemFDet: T sweep; FRAUDAR: per-top-j-blocks points; SPOKEN/FBox:
     score-quantile sweeps).
     """
-    edges, g, truth, meta = _graph(preset, scale, seed)
-    edges_df = spark.createDataFrame(edges)
-    rows = []
-
-    run = ensemfdet(spark, edges_df, method="RES", s=s, n=n, seed=seed)
-    sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
-    run.votes.unpersist()
-    best = sweep.loc[sweep["f1"].idxmax()]
-    rows.append(
-        dict(method="EnsemFDet", precision=best["precision"], recall=best["recall"],
-             f1=best["f1"], n_detected=int(best["n_detected"]), curve_points=len(sweep))
+    edges, g, truth, _ = _graph(preset, scale, seed)
+    fraudar_sweep = pd.DataFrame(
+        [dict(zip(("precision", "recall", "f1"), prf(pt["pins"], truth)), n_detected=pt["n_detected"])
+         for pt in fraudar_points(fraudar(g, k=30))]
     )
-
-    fres = fraudar(g, k=30)
-    best_f = (0.0, 0.0, 0.0, 0)
-    for pt in fraudar_points(fres):
-        p, r, f1 = prf(pt["pins"], truth)
-        if f1 > best_f[2]:
-            best_f = (p, r, f1, pt["n_detected"])
-    rows.append(
-        dict(method="FRAUDAR", precision=best_f[0], recall=best_f[1], f1=best_f[2],
-             n_detected=best_f[3], curve_points=len(fres.blocks))
+    sweeps = {
+        "EnsemFDet": _ensemble_sweep(spark, spark.createDataFrame(edges), truth, "RES", s, n, seed),
+        "FRAUDAR": fraudar_sweep,
+        "SPOKEN": score_sweep(spoken_scores(g)[0], truth),
+        "FBox": score_sweep(fbox_scores(g)[0], truth),
+    }
+    out = pd.DataFrame(
+        [dict(method=name, **_best(sw), curve_points=len(sw)) for name, sw in sweeps.items()]
     )
-
-    for name, scores in (
-        ("SPOKEN", spoken_scores(g)[0]),
-        ("FBox", fbox_scores(g)[0]),
-    ):
-        sw = score_sweep(scores, truth)
-        best_s = sw.loc[sw["f1"].idxmax()] if len(sw) else None
-        rows.append(
-            dict(method=name,
-                 precision=float(best_s["precision"]) if best_s is not None else 0.0,
-                 recall=float(best_s["recall"]) if best_s is not None else 0.0,
-                 f1=float(best_s["f1"]) if best_s is not None else 0.0,
-                 n_detected=int(best_s["n_detected"]) if best_s is not None else 0,
-                 curve_points=len(sw))
-        )
-    out = pd.DataFrame(rows)
     out.insert(0, "dataset", preset)
     return out
 
@@ -250,24 +253,13 @@ def sampling_comparison(
     a low-pin-degree/high-merchant-degree profile reproduces it.
     """
     n = int(round(r / s))
-    edges, users, meta = jd_transactions(preset, scale, seed, **(generator_kwargs or {}))
-    truth = users.loc[users["is_fraud"], "pin"].to_numpy()
+    edges, _, truth, _ = _graph(preset, scale, seed, **(generator_kwargs or {}))
     edges_df = spark.createDataFrame(edges).cache()
     edges_df.count()
     rows = []
     for method in ("RES", "ONS_PIN", "ONS_MERCHANT", "TNS"):
         s_eff = float(np.sqrt(s)) if method == "TNS" else s
-        run = ensemfdet(spark, edges_df, method=method, s=s_eff, n=n, seed=seed)
-        sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
-        run.votes.unpersist()
-        if len(sweep) == 0 or sweep["f1"].max() == 0:
-            rows.append(dict(method=method, precision=0.0, recall=0.0, f1=0.0, n_detected=0))
-            continue
-        best = sweep.loc[sweep["f1"].idxmax()]
-        rows.append(
-            dict(method=method, precision=best["precision"], recall=best["recall"],
-                 f1=best["f1"], n_detected=int(best["n_detected"]))
-        )
+        rows.append(dict(method=method, **_best(_ensemble_sweep(spark, edges_df, truth, method, s_eff, n, seed))))
     edges_df.unpersist()
     out = pd.DataFrame(rows)
     out.insert(0, "dataset", preset)
@@ -288,28 +280,23 @@ def truncation_comparison(
     Both variants run the pipeline's per-sample solve and vote on the
     same RES samples (one ``sample_edges_spark`` call): the truncated
     variant keeps each sample's first k̂ blocks, FIX-K keeps all
-    ``k_fix`` (``truncate=False``). ``max_k_hat`` is the largest k̂ of
-    the truncated run, read from its block indices (paper: all < 15).
+    ``k_fix`` (``truncate=False``). Each row's ``max_k_hat`` is the
+    largest number of blocks any sample kept in that variant, read from
+    its own block indices (paper: all k̂ < 15).
     """
     edges, _, truth, _ = _graph(preset, scale, seed)
     samples = sample_edges_spark(spark.createDataFrame(edges), "RES", s, n, seed).cache()
     rows = []
     for truncate, variant in ((True, "EnsemFDet (truncated)"), (False, f"EnsemFDet-FIX-K (k={k_fix})")):
         detected = detect_on_samples(samples, k_max=k_fix, truncate=truncate).cache()
-        if truncate:
-            max_k_hat = int(detected.agg(F.max("block")).collect()[0][0]) + 1
+        max_k_hat = int(detected.agg(F.max("block")).collect()[0][0]) + 1
         pin_votes = vote(detected).where(F.col("side") == "pin").toPandas()
         detected.unpersist()
         sweep = threshold_sweep(pin_votes, truth, np.arange(1, n + 1))
-        best = sweep.loc[sweep["f1"].idxmax()]
-        rows.append(
-            dict(variant=variant, precision=best["precision"], recall=best["recall"],
-                 f1=best["f1"], n_detected=int(best["n_detected"]))
-        )
+        rows.append(dict(variant=variant, **_best(sweep), max_k_hat=max_k_hat))
     samples.unpersist()
     out = pd.DataFrame(rows)
     out.insert(0, "dataset", preset)
-    out["max_k_hat"] = max_k_hat
     return out
 
 
@@ -325,14 +312,7 @@ def n_sweep(
     edges, _, truth, _ = _graph(preset, scale, seed)
     edges_df = spark.createDataFrame(edges).cache()
     edges_df.count()
-    rows = []
-    for n in ns:
-        run = ensemfdet(spark, edges_df, method="RES", s=s, n=n, seed=seed)
-        sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
-        run.votes.unpersist()
-        best = sweep.loc[sweep["f1"].idxmax()]
-        rows.append(dict(N=n, S=s, precision=best["precision"], recall=best["recall"],
-                         f1=best["f1"], n_detected=int(best["n_detected"])))
+    rows = [dict(N=n, S=s, **_best(_ensemble_sweep(spark, edges_df, truth, "RES", s, n, seed))) for n in ns]
     edges_df.unpersist()
     out = pd.DataFrame(rows)
     out.insert(0, "dataset", preset)
@@ -354,12 +334,7 @@ def s_sweep(
     rows = []
     for s in ss:
         n = max(1, int(round(r / s)))
-        run = ensemfdet(spark, edges_df, method="RES", s=s, n=n, seed=seed)
-        sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
-        run.votes.unpersist()
-        best = sweep.loc[sweep["f1"].idxmax()]
-        rows.append(dict(S=s, N=n, precision=best["precision"], recall=best["recall"],
-                         f1=best["f1"], n_detected=int(best["n_detected"])))
+        rows.append(dict(S=s, N=n, **_best(_ensemble_sweep(spark, edges_df, truth, "RES", s, n, seed))))
     edges_df.unpersist()
     out = pd.DataFrame(rows)
     out.insert(0, "dataset", preset)
@@ -376,10 +351,7 @@ def threshold_analysis(
 ) -> pd.DataFrame:
     """Full T sweep at S=0.1, N=80 (Fig. 9): P↑, R↓ monotone in T."""
     edges, _, truth, _ = _graph(preset, scale, seed)
-    edges_df = spark.createDataFrame(edges)
-    run = ensemfdet(spark, edges_df, method="RES", s=s, n=n, seed=seed)
-    sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
-    run.votes.unpersist()
+    sweep = _ensemble_sweep(spark, spark.createDataFrame(edges), truth, "RES", s, n, seed)
     sweep.insert(0, "dataset", preset)
     return sweep
 

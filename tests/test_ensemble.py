@@ -1,4 +1,6 @@
 """Tests for the EnsemFDet ensemble pipeline (Algorithm 2) on Spark."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,8 +12,10 @@ from repro.core.ensemble import (
     ensemfdet,
     vote,
 )
+from repro.core.fdet import fdet
 from repro.core.sampling import sample_edges_spark
 from repro.eval.metrics import prf, threshold_sweep
+from repro.graph.bipartite import BipartiteGraph
 from repro.oracle import assert_equivalent
 
 
@@ -153,14 +157,42 @@ class TestEnsemFDetEndToEnd:
             reject(run)
 
     def test_votes_invariant_to_input_partitioning(self, spark, jd1_small):
+        """Votes depend neither on the input's partitions nor on
+        ``spark.sql.shuffle.partitions``."""
         edges, *_ = jd1_small
         edges_df = spark.createDataFrame(edges)
+        saved = spark.conf.get("spark.sql.shuffle.partitions")
         tables = []
-        for parts in (1, 7):
-            run = ensemfdet(spark, edges_df.repartition(parts), method="RES", s=0.3, n=12, seed=0)
-            tables.append(run.votes.toPandas().sort_values(["side", "node"], ignore_index=True))
+        try:
+            for parts, shuffle in itertools.product((1, 7), (1, 7, 200)):
+                spark.conf.set("spark.sql.shuffle.partitions", shuffle)
+                run = ensemfdet(spark, edges_df.repartition(parts), method="RES", s=0.3, n=12, seed=0)
+                tables.append(run.votes.toPandas().sort_values(["side", "node"], ignore_index=True))
+                run.votes.unpersist()
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", saved)
+        for table in tables[1:]:
+            pd.testing.assert_frame_equal(tables[0], table)
+
+    def test_empty_input_gives_empty_votes(self, spark):
+        run = ensemfdet(spark, spark.createDataFrame([], "pin long, merchant long"), s=0.3, n=4)
+        try:
+            assert run.votes.count() == 0
+            assert run.pin_votes().empty
+        finally:
             run.votes.unpersist()
-        pd.testing.assert_frame_equal(*tables)
+
+    def test_one_full_sample_matches_fdet(self, spark, jd1_small):
+        """RES with S = 1, N = 1 solves the whole graph once: it flags
+        exactly the pins ``fdet`` flags on the relabeled graph."""
+        edges, *_ = jd1_small
+        run = ensemfdet(spark, spark.createDataFrame(edges), method="RES", s=1.0, n=1, seed=0)
+        try:
+            got = run.detected_pins(1)
+        finally:
+            run.votes.unpersist()
+        g, uids, _ = BipartiteGraph.from_pandas(edges).relabeled()
+        np.testing.assert_array_equal(got, np.sort(uids[fdet(g).detected_users()]))
 
     def test_deterministic_across_runs(self, spark, jd1_small):
         edges, _, _, truth, _ = jd1_small

@@ -64,6 +64,7 @@ class TestFig6:
         df = truncation_comparison(spark, preset="jd1", scale=0.002, s=0.3, n=6, k_fix=10)
         assert df["variant"].tolist() == ["EnsemFDet (truncated)", "EnsemFDet-FIX-K (k=10)"]
         assert 1 <= df["max_k_hat"].iloc[0] < 15  # paper: every k̂ < 15
+        assert df["max_k_hat"].iloc[1] == 10  # FIX-K keeps all k_fix blocks on some sample
         assert (df["f1"] > 0).all()
 
 
