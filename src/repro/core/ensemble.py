@@ -5,8 +5,10 @@ Distributed dataflow (all Catalyst except the per-subgraph solver):
 ```
 edges (pin, merchant)
   └─ sample_edges_spark ──▶ (sample_id, pin, merchant, w)      # N samples, one pass
-  └─ groupBy(sample_id).applyInPandas(FDET) ──▶ (sample_id, side, node, block, phi)
-  └─ groupBy(side, node).count ──▶ (side, node, votes)         # MVA numerator
+  └─ repartition(k, sample_id), groupBy(sample_id).applyInPandas(FDET)
+                                 ──▶ (sample_id, side, node, block, phi)
+  └─ repartition(k, side, node), distinct, groupBy(side, node).count
+                                 ──▶ (side, node, votes)         # MVA numerator
   └─ votes >= T ──▶ detected nodes                             # Definition 4
 ```
 
@@ -32,6 +34,17 @@ from repro.graph.bipartite import BipartiteGraph
 #: Output schema of the grouped FDET solver, and the pandas dtypes it is built with.
 DETECTED_SCHEMA = "sample_id long, side string, node long, block int, phi double"
 _DETECTED_DTYPES = {"sample_id": "int64", "side": "str", "node": "int64", "block": "int32", "phi": "float64"}
+
+
+def _parallelism(df: DataFrame) -> int:
+    """Partitions of each of the pipeline's shuffles: one per core of ``df``'s session.
+
+    The pipeline repartitions by an explicit count rather than leaving the
+    shuffles to ``spark.sql.shuffle.partitions``: adaptive execution would
+    coalesce the small solve shuffle into one task (serializing the N
+    solves), and a count of partitions is never coalesced.
+    """
+    return df.sparkSession.sparkContext.defaultParallelism
 
 
 def _solve_group(
@@ -76,7 +89,8 @@ def detect_on_samples(
     def solver(pdf: pd.DataFrame) -> pd.DataFrame:
         return _solve_group(pdf, k_max, phi_stop_frac, c, truncate)
 
-    return samples.groupBy("sample_id").applyInPandas(solver, schema=DETECTED_SCHEMA)
+    by_sample = samples.repartition(_parallelism(samples), "sample_id")
+    return by_sample.groupBy("sample_id").applyInPandas(solver, schema=DETECTED_SCHEMA)
 
 
 def vote(detected: DataFrame) -> DataFrame:
@@ -84,10 +98,13 @@ def vote(detected: DataFrame) -> DataFrame:
 
     Returns (side, node, votes) where ``votes`` = number of distinct
     samples in which the node was detected. The caller applies the
-    threshold T (``H(u) = accept iff votes >= T``).
+    threshold T (``H(u) = accept iff votes >= T``). Partitioning by
+    (side, node) up front lets the ``distinct`` and the count share one
+    shuffle.
     """
     return (
         detected.select("sample_id", "side", "node")
+        .repartition(_parallelism(detected), "side", "node")
         .distinct()
         .groupBy("side", "node")
         .agg(F.count(F.lit(1)).alias("votes"))

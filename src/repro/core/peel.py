@@ -6,16 +6,70 @@ whole deletion sequence; the best prefix-complement is the detected
 block. A lazy min-heap gives the paper's O(|E| log(|U|+|V|)) bound —
 priorities only ever decrease, so a popped entry is valid iff it still
 equals the node's current priority.
+
+The loop runs in a native kernel, ``_peel.c``, loaded with ctypes. It
+is compiled on first import with ``cc`` into ``_build/`` next to this
+file, under a name keyed by a hash of the source and flags; each
+process compiles into a temporary file and renames it into place, so
+processes importing this module at once (Spark's Python workers) race
+safely. There is no Python fallback: without ``cc`` the import fails.
+The kernel is bit-identical to the Python loop in
+``tests/peel_reference.py``, which the tests compare it against.
 """
 from __future__ import annotations
 
-import heapq
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.density import DEFAULT_C, edge_values, merchant_weights
 from repro.graph.bipartite import BipartiteGraph
+
+
+_SOURCE = Path(__file__).with_name("_peel.c")
+_BUILD_DIR = Path(__file__).with_name("_build")
+#: No -ffast-math or -march=native: either could reorder or fuse the float
+#: operations the kernel must perform exactly as the Python loop does.
+_CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+
+
+def _load_kernel() -> ctypes.CDLL:
+    """The compiled kernel, built first if this source and these flags have no library yet."""
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    lib_path = _BUILD_DIR / f"_peel-{key}.so"
+    if not lib_path.exists():
+        _BUILD_DIR.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".peel-", suffix=".so", dir=_BUILD_DIR)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)], check=True, capture_output=True, text=True)
+            os.replace(tmp, lib_path)
+        except FileNotFoundError:
+            raise ImportError(
+                f"repro.core.peel needs a C compiler: `cc` was not found on PATH; "
+                f"it builds {_SOURCE.name} into {_BUILD_DIR} on first import"
+            ) from None
+        except subprocess.CalledProcessError as e:
+            raise ImportError(f"`cc` failed to build {_SOURCE} into {_BUILD_DIR}:\n{e.stderr}") from None
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(lib_path))
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.peel.argtypes = [ctypes.c_int64] * 3 + [i64, i64, f64, ctypes.c_double, i64, i64, f64]
+    lib.peel.restype = ctypes.c_int64
+    return lib
+
+
+_kernel = _load_kernel()
 
 
 @dataclass
@@ -54,84 +108,27 @@ def peel_densest(
         w_col = merchant_weights(g.degrees_v(), c)
 
     nu = g.n_u
-    val = edge_values(g, w_col)
-    E = g.n_edges
+    val = np.ascontiguousarray(edge_values(g, w_col), dtype=np.float64)
+    u = np.ascontiguousarray(g.u, dtype=np.int64)
+    v = np.ascontiguousarray(g.v, dtype=np.int64)
+    if not len(u) == len(v) == len(val):
+        raise ValueError(f"edge arrays differ in length: {len(u)}, {len(v)}, {len(val)}")
+    order = np.empty(nu + g.n_v, dtype=np.int64)
+    best_removed = np.zeros(1, dtype=np.int64)
+    best_phi = np.zeros(1, dtype=np.float64)
+    # f is numpy's pairwise sum: the kernel must start from exactly this value.
+    n_active = _kernel.peel(nu, g.n_v, len(u), u, v, val, float(val.sum()), order, best_removed, best_phi)
+    if n_active == -1:
+        raise MemoryError("peel kernel could not allocate its work arrays")
+    if n_active == -2:
+        raise ValueError("node id outside the graph's id space")
 
-    # Nodes are encoded in one space: user i -> i, merchant j -> nu + j.
-    enc_u = g.u
-    enc_v = g.v + nu
-    n_total = nu + g.n_v
-
-    prio = np.zeros(n_total, dtype=np.float64)
-    np.add.at(prio, enc_u, val)
-    np.add.at(prio, enc_v, val)
-
-    # CSR incidence over both endpoints: incident edge ids per node.
-    ends = np.concatenate([enc_u, enc_v])
-    eids = np.concatenate([np.arange(E), np.arange(E)])
-    order = np.argsort(ends, kind="stable")
-    inc_eids = eids[order]
-    counts = np.bincount(ends, minlength=n_total)
-    inc_start = np.zeros(n_total + 1, dtype=np.int64)
-    np.cumsum(counts, out=inc_start[1:])
-
-    active = counts > 0  # isolated ids never enter the graph
-    n_active = int(active.sum())
-    f = float(val.sum())
-
-    heap = [(prio[x], int(x)) for x in np.nonzero(active)[0]]
-    heapq.heapify(heap)
-
-    best_phi = f / n_active
-    best_removed = 0
-    removal_order: list[int] = []
-
-    # Hot loop works on plain Python lists/bytearrays: numpy scalar
-    # indexing inside a per-edge loop costs ~3x more than list access,
-    # and this loop runs |E| times per peel.
-    other_end = (enc_u + enc_v).tolist()  # other endpoint = other_end[e] - popped
-    val_l = val.tolist()
-    prio_l = prio.tolist()
-    inc_eids_l = inc_eids.tolist()
-    inc_start_l = inc_start.tolist()
-    alive_edge = bytearray(b"\x01") * E
-    alive_node = bytearray(active.astype(np.uint8).tobytes())
-    heappop, heappush = heapq.heappop, heapq.heappush
-
-    while heap and n_active > 1:
-        p, x = heappop(heap)
-        # Stale entry: the node was updated (priority strictly decreased)
-        # after this entry was pushed, or already removed.
-        if not alive_node[x] or p - prio_l[x] > 1e-12:
-            continue
-        alive_node[x] = 0
-        for i in range(inc_start_l[x], inc_start_l[x + 1]):
-            e = inc_eids_l[i]
-            if alive_edge[e]:
-                alive_edge[e] = 0
-                ve = val_l[e]
-                f -= ve
-                y = other_end[e] - x
-                if alive_node[y]:
-                    prio_l[y] -= ve
-                    heappush(heap, (prio_l[y], y))
-        removal_order.append(x)
-        n_active -= 1
-        cur_phi = f / n_active
-        if cur_phi > best_phi + 1e-15:
-            best_phi = cur_phi
-            best_removed = len(removal_order)
-
-    # Survivors at the best state = active nodes minus the first
-    # best_removed removals.
-    survivors = active.copy()
-    if best_removed:
-        survivors[np.asarray(removal_order[:best_removed], dtype=np.int64)] = False
-    ids = np.nonzero(survivors)[0]
+    # Survivors at the best state: active nodes after the first best_removed removals.
+    ids = np.sort(order[best_removed[0] : n_active])
     users = ids[ids < nu]
     merchants = ids[ids >= nu] - nu
     return PeelResult(
-        users=users.astype(np.int64),
-        merchants=merchants.astype(np.int64),
-        phi=float(best_phi),
+        users=users,
+        merchants=merchants,
+        phi=float(best_phi[0]),
     )

@@ -123,8 +123,8 @@ def table3_rows(
     authors' cluster; the shape claim is the speedup factor (~10x in
     the paper) and near-linear growth in |E|.
 
-    The paper's cluster solves all N samples concurrently; this box has
-    ~16 cores, so N=80 runs in ~5 sequential task waves. The extra
+    The paper's cluster solves all N samples concurrently; on a box with
+    fewer cores than N, N=80 runs in sequential task waves. The extra
     column ``ensemfdet_1wave_sec`` measures an N = (#cores) run — every
     sample genuinely concurrent, i.e. the per-wave wall time the
     paper's ≥N-core setting would see (the paper's Fig. 7 shows

@@ -1,5 +1,6 @@
 """Tests for the EnsemFDet ensemble pipeline (Algorithm 2) on Spark."""
 import itertools
+import re
 
 import numpy as np
 import pandas as pd
@@ -173,6 +174,27 @@ class TestEnsemFDetEndToEnd:
             spark.conf.set("spark.sql.shuffle.partitions", saved)
         for table in tables[1:]:
             pd.testing.assert_frame_equal(tables[0], table)
+
+    def test_shuffles_follow_parallelism_not_conf(self, spark, jd1_small):
+        """One Exchange into the solve and one into the vote, each with
+        one partition per core, whatever ``spark.sql.shuffle.partitions`` says."""
+        edges, *_ = jd1_small
+        samples = sample_edges_spark(spark.createDataFrame(edges), "RES", 0.3, 12, seed=0)
+        k = spark.sparkContext.defaultParallelism
+        saved = spark.conf.get("spark.sql.shuffle.partitions")
+        try:
+            for shuffle in (1, 200):
+                spark.conf.set("spark.sql.shuffle.partitions", shuffle)
+                votes = vote(detect_on_samples(samples))
+                votes.collect()
+                plan = votes._jdf.queryExecution().executedPlan().toString()
+                final = plan.split("== Initial Plan ==")[0]
+                exchanges = re.findall(r"Exchange (.*)", final)
+                assert len(exchanges) == 2, final
+                for ex in exchanges:
+                    assert re.match(r"hashpartitioning\(.*?, (\d+)\)", ex).group(1) == str(k), ex
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", saved)
 
     def test_empty_input_gives_empty_votes(self, spark):
         run = ensemfdet(spark, spark.createDataFrame([], "pin long, merchant long"), s=0.3, n=4)
