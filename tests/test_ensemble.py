@@ -216,6 +216,22 @@ class TestEnsemFDetEndToEnd:
         g, uids, _ = BipartiteGraph.from_pandas(edges).relabeled()
         np.testing.assert_array_equal(got, np.sort(uids[fdet(g).detected_users()]))
 
+    def test_votes_fully_cached_on_return(self, spark, jd1_small):
+        """``ensemfdet`` hands back a vote table whose every partition is cached."""
+        edges, *_ = jd1_small
+        with ensemfdet(spark, spark.createDataFrame(edges), method="RES", s=0.3, n=12, seed=0) as run:
+            cached = spark._jsparkSession.sharedState().cacheManager().lookupCachedData(run.votes._jdf)
+            rdd_id = cached.get().cachedRepresentation().cacheBuilder().cachedColumnBuffers().id()
+            (info,) = [i for i in spark.sparkContext._jsc.sc().getRDDStorageInfo() if i.id() == rdd_id]
+            assert info.numCachedPartitions() == info.numPartitions() > 0
+
+    def test_run_as_context_manager_releases_votes(self, spark, jd1_small):
+        edges, *_ = jd1_small
+        with ensemfdet(spark, spark.createDataFrame(edges), method="RES", s=0.3, n=4, seed=0) as run:
+            assert run.votes.storageLevel.useMemory
+        assert not run.votes.storageLevel.useMemory
+        assert not run.votes.storageLevel.useDisk
+
     def test_deterministic_across_runs(self, spark, jd1_small):
         edges, _, _, truth, _ = jd1_small
         edges_df = spark.createDataFrame(edges)
