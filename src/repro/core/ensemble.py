@@ -1,15 +1,15 @@
 """EnsemFDet (Algorithm 2): sample → parallel FDET → majority voting.
 
-Distributed dataflow (all Catalyst except the per-subgraph solver):
+Dataflow of one ``ensemfdet()`` call, which runs one Spark action:
 
 ```
 edges (pin, merchant)
   └─ sample_edges_spark ──▶ (sample_id, pin, merchant, w)      # N samples, one pass
-  └─ repartition(k, sample_id), groupBy(sample_id).applyInPandas(FDET)
+  └─ repartition(k, sample_id), groupBy(sample_id).applyInArrow(FDET)
                                  ──▶ (sample_id, side, node, block, phi)
-  └─ repartition(k, side, node), distinct, groupBy(side, node).count
+  └─ select(sample_id, side, node).toPandas()                   # the one action
+  └─ vote_table, on the driver: drop_duplicates, size per (side, node)
                                  ──▶ (side, node, votes)         # MVA numerator
-  └─ cache, one noop write       ──▶ materialized vote table
   └─ votes >= T ──▶ detected nodes                             # Definition 4
 ```
 
@@ -17,9 +17,12 @@ The per-sample FDET solve is sequential by the paper's own argument
 (heuristic peeling cannot be parallelized); Spark schedules the N
 independent solves across cores — exactly the paper's "apply FDET to
 all sampled graphs simultaneously with the multicore environment".
-The Python workers do only solve work: each sample's output frame is
-built once from whole columns, and after each group the worker drops
-its cached zip-archive finders, which Spark's per-task
+Voting is a count per node over the detected rows, which the driver
+holds anyway (about 20k rows on the bench's TNS call), so it runs in
+pandas rather than as a second shuffle. The Python workers do only
+solve work: each sample arrives and leaves as an Arrow table, its
+output built once from whole columns, and after each group the worker
+drops its cached zip-archive finders, which Spark's per-task
 ``importlib.invalidate_caches()`` would otherwise re-read on CPython
 before 3.13 (``_drop_zip_finders``).
 """
@@ -31,42 +34,45 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.density import DEFAULT_C
 from repro.core.fdet import fdet
 from repro.core.sampling import sample_edges_spark
 from repro.graph.bipartite import BipartiteGraph
 
-#: Output schema of the grouped FDET solver, and the pandas dtypes it is built with.
+#: Output schema of the grouped FDET solver, and the Arrow types it is built with.
 DETECTED_SCHEMA = "sample_id long, side string, node long, block int, phi double"
-_DETECTED_DTYPES = {"sample_id": "int64", "side": "str", "node": "int64", "block": "int32", "phi": "float64"}
+_DETECTED_TYPES = pa.schema(
+    [("sample_id", pa.int64()), ("side", pa.string()), ("node", pa.int64()), ("block", pa.int32()), ("phi", pa.float64())]
+)
+#: Schema of the vote table: distinct samples that detected each node.
+VOTES_SCHEMA = "side string, node long, votes long"
 
 
 def _parallelism(df: DataFrame) -> int:
-    """Partitions of each of the pipeline's shuffles: one per core of ``df``'s session.
+    """Partitions of the solve's shuffle: one per core of ``df``'s session.
 
     The pipeline repartitions by an explicit count rather than leaving the
-    shuffles to ``spark.sql.shuffle.partitions``: adaptive execution would
+    shuffle to ``spark.sql.shuffle.partitions``: adaptive execution would
     coalesce the small solve shuffle into one task (serializing the N
     solves), and a count of partitions is never coalesced.
     """
     return df.sparkSession.sparkContext.defaultParallelism
 
 
-def _solve_group(
-    pdf: pd.DataFrame, k_max: int, phi_stop_frac: float, c: float, truncate: bool
-) -> pd.DataFrame:
-    """Solve FDET on one sampled subgraph (one ``applyInPandas`` group).
+def _solve_group(tbl: pa.Table, k_max: int, phi_stop_frac: float, c: float, truncate: bool) -> pa.Table:
+    """Solve FDET on one sampled subgraph (one ``applyInArrow`` group).
 
     Relabels the group's sparse raw ids to a compact space, runs FDET
     (with truncation unless ``truncate`` is False: FIX-K), and emits one
     row per detected node per selected block, mapped back to original ids:
-    each block's pins, then its merchants. The output frame is built once
-    from whole columns; a pandas frame per block costs more than the solve.
+    each block's pins, then its merchants. The output table is built once
+    from whole columns, typed by ``_DETECTED_TYPES``.
     """
-    g, uids, vids = BipartiteGraph.from_pandas(pdf, "pin", "merchant", "w").relabeled()
+    pins, merchants, w = (tbl.column(name).to_numpy() for name in ("pin", "merchant", "w"))
+    g, uids, vids = BipartiteGraph.from_edges(pins, merchants, w).relabeled()
     result = fdet(g, k_max=k_max, truncate=truncate, phi_stop_frac=phi_stop_frac, c=c)
     runs = [
         (side, ids[nodes], b, block.phi)
@@ -76,13 +82,16 @@ def _solve_group(
     sides, nodes, blocks, phis = zip(*runs) if runs else [()] * 4
     sizes = [len(ids) for ids in nodes]
     columns = {
-        "sample_id": np.repeat(pdf["sample_id"].to_numpy()[:1], sum(sizes)),
+        "sample_id": np.repeat(tbl.column("sample_id").to_numpy()[:1], sum(sizes)),
         "side": np.repeat(sides, sizes),
         "node": np.concatenate(nodes or [[]]),
         "block": np.repeat(blocks, sizes),
         "phi": np.repeat(phis, sizes),
     }
-    return pd.DataFrame({name: np.asarray(col, dtype=_DETECTED_DTYPES[name]) for name, col in columns.items()})
+    return pa.table(
+        {f.name: np.asarray(columns[f.name], dtype=f.type.to_pandas_dtype()) for f in _DETECTED_TYPES},
+        schema=_DETECTED_TYPES,
+    )
 
 
 def _drop_zip_finders() -> None:
@@ -115,54 +124,59 @@ def detect_on_samples(
 
     ``samples`` is the output of ``sample_edges_spark``. A node
     detected in several blocks of the *same* sample still casts one
-    vote (dedup inside the result via distinct on (sample, side, node)
-    happens at vote time). ``truncate=False`` keeps all ``k_max``
-    candidate blocks per sample: EnsemFDet-FIX-K on the same samples.
+    vote (``vote_table`` dedups on (sample, side, node)).
+    ``truncate=False`` keeps all ``k_max`` candidate blocks per sample:
+    EnsemFDet-FIX-K on the same samples.
     """
 
-    def solver(pdf: pd.DataFrame) -> pd.DataFrame:
-        out = _solve_group(pdf, k_max, phi_stop_frac, c, truncate)
+    def solver(tbl: pa.Table) -> pa.Table:
+        out = _solve_group(tbl, k_max, phi_stop_frac, c, truncate)
         _drop_zip_finders()  # so the worker's next task starts without re-reading archives
         return out
 
     by_sample = samples.repartition(_parallelism(samples), "sample_id")
-    return by_sample.groupBy("sample_id").applyInPandas(solver, schema=DETECTED_SCHEMA)
+    return by_sample.groupBy("sample_id").applyInArrow(solver, schema=DETECTED_SCHEMA)
+
+
+def vote_table(detected: pd.DataFrame) -> pd.DataFrame:
+    """Majority Voting Aggregation numerator (Definition 4), on collected rows.
+
+    Returns (side, node, votes), sorted by (side, node), where ``votes``
+    = number of distinct samples in which the node was detected. The
+    caller applies the threshold T (``H(u) = accept iff votes >= T``).
+    """
+    keys = detected[["sample_id", "side", "node"]].drop_duplicates()
+    votes = keys.groupby(["side", "node"]).size().reset_index(name="votes")
+    return votes.astype({"side": "str", "node": "int64", "votes": "int64"})
 
 
 def vote(detected: DataFrame) -> DataFrame:
-    """Majority Voting Aggregation numerator (Definition 4).
+    """``vote_table`` of ``detected``'s rows, as a Spark view (``VOTES_SCHEMA``).
 
-    Returns (side, node, votes) where ``votes`` = number of distinct
-    samples in which the node was detected. The caller applies the
-    threshold T (``H(u) = accept iff votes >= T``). Partitioning by
-    (side, node) up front lets the ``distinct`` and the count share one
-    shuffle.
+    Collects ``detected`` when called.
     """
-    return (
-        detected.select("sample_id", "side", "node")
-        .repartition(_parallelism(detected), "side", "node")
-        .distinct()
-        .groupBy("side", "node")
-        .agg(F.count(F.lit(1)).alias("votes"))
-    )
+    table = vote_table(detected.select("sample_id", "side", "node").toPandas())
+    return detected.sparkSession.createDataFrame(table, VOTES_SCHEMA)
 
 
-def accept(votes: DataFrame, t: int, side: str | None = "pin") -> DataFrame:
-    """Nodes accepted at voting threshold ``t`` (optionally one side only)."""
+def accept(votes: pd.DataFrame, t: int, side: str | None = "pin") -> pd.DataFrame:
+    """Rows of a vote table accepted at threshold ``t`` (optionally one side only)."""
     if t < 1:
         raise ValueError(f"voting threshold T must be >= 1, got {t}")
-    out = votes.where(F.col("votes") >= int(t))
+    keep = votes["votes"] >= int(t)
     if side is not None:
-        out = out.where(F.col("side") == side)
-    return out.select("side", "node", "votes")
+        keep &= votes["side"] == side
+    return votes.loc[keep, ["side", "node", "votes"]]
 
 
 @dataclass
 class EnsemFDetRun:
-    """Handle on one EnsemFDet execution: the vote table plus its settings.
+    """One EnsemFDet execution: its vote table, held on the driver, and its settings.
 
-    ``votes`` is cached; ``with ensemfdet(...) as run:`` releases it on
-    exit (as ``run.votes.unpersist()`` does).
+    ``table`` is the (side, node, votes) frame every reader uses;
+    ``votes`` is a Spark view over it. Nothing is cached in Spark, so
+    there is nothing to release. A run built from ``votes`` alone
+    collects ``table`` once.
     """
 
     votes: DataFrame
@@ -170,28 +184,21 @@ class EnsemFDetRun:
     s: float
     n: int
     k_max: int
+    table: pd.DataFrame | None = None
 
-    def __enter__(self) -> EnsemFDetRun:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.votes.unpersist()
+    def __post_init__(self) -> None:
+        if self.table is None:
+            self.table = self.votes.toPandas().astype({"node": "int64", "votes": "int64"})
 
     def detected_pins(self, t: int) -> np.ndarray:
-        """Accepted PIN ids at threshold ``t`` (collected to the driver)."""
+        """Accepted PIN ids at threshold ``t``, sorted."""
         if not 1 <= t <= self.n:
             raise ValueError(f"voting threshold T must be in [1, N={self.n}], got {t}")
-        rows = accept(self.votes, t, side="pin").select("node").collect()
-        return np.asarray(sorted(r["node"] for r in rows), dtype=np.int64)
+        return np.sort(accept(self.table, t, side="pin")["node"].to_numpy(dtype=np.int64))
 
     def pin_votes(self) -> pd.DataFrame:
-        """(node, votes) for the PIN side as pandas, for threshold sweeps."""
-        return (
-            self.votes.where(F.col("side") == "pin")
-            .select("node", "votes")
-            .toPandas()
-            .astype({"node": "int64", "votes": "int64"})
-        )
+        """(node, votes) for the PIN side, for threshold sweeps."""
+        return self.table.loc[self.table["side"] == "pin", ["node", "votes"]].reset_index(drop=True)
 
 
 def ensemfdet(
@@ -205,20 +212,17 @@ def ensemfdet(
     phi_stop_frac: float = 0.05,
     c: float = DEFAULT_C,
 ) -> EnsemFDetRun:
-    """Full EnsemFDet pipeline; returns the materialized vote table.
+    """Full EnsemFDet pipeline; returns the run with its vote table on the driver.
 
-    The vote DataFrame is cached and materialized in full by one
-    ``noop`` write, so that timing a call to this function measures the
-    whole sample→solve→vote compute (Table III), not a lazy plan, and
-    later reads of the votes run no solve. Under adaptive execution the
-    write runs two Spark jobs (the cache build and the write over it)
-    where a ``count()`` of the cache ran three. Use the returned run as
-    a context manager to release the cache.
+    One Spark action (sample → solve → collect of the detected rows),
+    then ``vote_table`` on the driver, so timing a call to this function
+    measures the whole sample→solve→vote compute (Table III), and
+    reading the votes afterwards runs no Spark job.
     ``spark`` is not used: the pipeline runs in ``edges``' session and
     changes none of its settings.
     """
     samples = sample_edges_spark(edges, method, s, n, seed)
     detected = detect_on_samples(samples, k_max=k_max, phi_stop_frac=phi_stop_frac, c=c)
-    votes = vote(detected).cache()
-    votes.write.format("noop").mode("overwrite").save()
-    return EnsemFDetRun(votes=votes, method=method, s=s, n=n, k_max=k_max)
+    table = vote_table(detected.select("sample_id", "side", "node").toPandas())
+    votes = edges.sparkSession.createDataFrame(table, VOTES_SCHEMA)
+    return EnsemFDetRun(votes, method, s, n, k_max, table=table)

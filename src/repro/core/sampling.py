@@ -23,7 +23,6 @@ Lemma 1 / Theorem 1 statistical tests all draw their samples from it.
 """
 from __future__ import annotations
 
-import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -88,24 +87,3 @@ def sample_edges_spark(
         .where(keep)
         .select("sample_id", "pin", "merchant", w.alias("w"))
     )
-
-
-def expected_sampled_degree_counts(
-    degree_hist: np.ndarray, p_v: float, p_e: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Paper Eq. 3: E_NS[d_q] and E_ES[d_q] per original degree q.
-
-    ``degree_hist[q]`` = f_D(q), the number of nodes of degree q in the
-    original graph. Returns the two expectation curves; Lemma 1 says ES
-    overtakes NS above q = log(1-p_v)/log(1-p_e).
-    """
-    f_d = np.asarray(degree_hist, dtype=np.float64)
-    q = np.arange(len(f_d), dtype=np.float64)
-    e_ns = f_d * p_v
-    e_es = f_d * (1.0 - (1.0 - p_e) ** q)
-    return e_ns, e_es
-
-
-def lemma1_crossover(p_v: float, p_e: float) -> float:
-    """Degree threshold above which ES samples nodes at a higher rate than NS."""
-    return float(np.log(1.0 - p_v) / np.log(1.0 - p_e))

@@ -24,7 +24,7 @@ from pyspark.sql import functions as F
 from repro.baselines.fbox import fbox_scores
 from repro.baselines.fraudar import fraudar, fraudar_points
 from repro.baselines.spoken import spoken_scores
-from repro.core.ensemble import detect_on_samples, ensemfdet, vote
+from repro.core.ensemble import detect_on_samples, ensemfdet, vote_table
 from repro.core.sampling import sample_edges_spark
 from repro.eval.metrics import prf, score_sweep, threshold_sweep
 from repro.graph.bipartite import BipartiteGraph
@@ -51,20 +51,16 @@ def _graph(preset: str, scale: float, seed: int = 0, **generator_kwargs):
 def _ensemble_sweep(
     spark: SparkSession, edges_df: DataFrame, truth: np.ndarray, method: str, s: float, n: int, seed: int
 ) -> pd.DataFrame:
-    """One ``ensemfdet`` run, swept over every voting threshold T = 1..N.
-
-    The run's cached vote table is released before returning, also
-    when the sweep raises.
-    """
-    with ensemfdet(spark, edges_df, method=method, s=s, n=n, seed=seed) as run:
-        return threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
+    """One ``ensemfdet`` run, swept over every voting threshold T = 1..N."""
+    run = ensemfdet(spark, edges_df, method=method, s=s, n=n, seed=seed)
+    return threshold_sweep(run.pin_votes(), truth, np.arange(1, n + 1))
 
 
 def _timed_ensemfdet(spark: SparkSession, edges_df: DataFrame, **params) -> float:
-    """Wall seconds of one ``ensemfdet`` call; its vote table is released after."""
+    """Wall seconds of one ``ensemfdet`` call."""
     t0 = time.perf_counter()
-    with ensemfdet(spark, edges_df, **params):
-        return time.perf_counter() - t0
+    ensemfdet(spark, edges_df, **params)
+    return time.perf_counter() - t0
 
 
 def _best(sweep: pd.DataFrame) -> dict:
@@ -283,20 +279,20 @@ def truncation_comparison(
     Both variants run the pipeline's per-sample solve and vote on the
     same RES samples (one ``sample_edges_spark`` call): the truncated
     variant keeps each sample's first k̂ blocks, FIX-K keeps all
-    ``k_fix`` (``truncate=False``). Each row's ``max_k_hat`` is the
-    largest number of blocks any sample kept in that variant, read from
-    its own block indices (paper: all k̂ < 15).
+    ``k_fix`` (``truncate=False``). Each variant's detected rows are
+    collected once; its votes (``vote_table``) and its ``max_k_hat``, the
+    largest number of blocks any sample kept (paper: all k̂ < 15), are
+    read from them.
     """
     edges, _, truth, _ = _graph(preset, scale, seed)
     samples = sample_edges_spark(spark.createDataFrame(edges), "RES", s, n, seed).cache()
     rows = []
     for truncate, variant in ((True, "EnsemFDet (truncated)"), (False, f"EnsemFDet-FIX-K (k={k_fix})")):
-        detected = detect_on_samples(samples, k_max=k_fix, truncate=truncate).cache()
-        max_k_hat = int(detected.agg(F.max("block")).collect()[0][0]) + 1
-        pin_votes = vote(detected).where(F.col("side") == "pin").toPandas()
-        detected.unpersist()
-        sweep = threshold_sweep(pin_votes, truth, np.arange(1, n + 1))
-        rows.append(dict(variant=variant, **_best(sweep), max_k_hat=max_k_hat))
+        detected = detect_on_samples(samples, k_max=k_fix, truncate=truncate)
+        detected = detected.select("sample_id", "side", "node", "block").toPandas()
+        votes = vote_table(detected)
+        sweep = threshold_sweep(votes[votes["side"] == "pin"], truth, np.arange(1, n + 1))
+        rows.append(dict(variant=variant, **_best(sweep), max_k_hat=int(detected["block"].max()) + 1))
     samples.unpersist()
     out = pd.DataFrame(rows)
     out.insert(0, "dataset", preset)

@@ -7,7 +7,7 @@ merchants live in *separate* integer id spaces (a pin id and a merchant
 id may collide numerically without referring to the same node).
 
 This is the in-memory substrate consumed by ``repro.core.peel`` /
-``repro.core.fdet`` inside Spark tasks (via ``applyInPandas``) and by
+``repro.core.fdet`` inside Spark tasks (via ``applyInArrow``) and by
 the driver-side baselines. It is deliberately plain data + numpy: one
 sampled subgraph must deserialize and solve cheaply inside a Python
 worker.
@@ -73,7 +73,7 @@ class BipartiteGraph:
         n_u: int | None = None,
         n_v: int | None = None,
     ) -> "BipartiteGraph":
-        """Build from a pandas edge frame (e.g. one ``applyInPandas`` group)."""
+        """Build from a pandas edge frame."""
         w = pdf[w_col].to_numpy() if w_col and w_col in pdf.columns else None
         return BipartiteGraph.from_edges(
             pdf[u_col].to_numpy(), pdf[v_col].to_numpy(), w, n_u=n_u, n_v=n_v

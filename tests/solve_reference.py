@@ -1,7 +1,8 @@
 """The per-block-frame output construction: the reference ``_solve_group`` must match.
 
 This is ``repro.core.ensemble._solve_group`` as it was before it built
-its output from whole columns, kept verbatim apart from its name: one
+its output from whole columns and took and returned Arrow tables, kept
+verbatim apart from its name and the dtype table it casts with: one
 pandas frame per block per non-empty side, concatenated once and cast
 once. Tests run it beside ``_solve_group`` and require equal frames,
 dtypes included.
@@ -10,9 +11,11 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.core.ensemble import _DETECTED_DTYPES
 from repro.core.fdet import fdet
 from repro.graph.bipartite import BipartiteGraph
+
+#: The pandas dtypes of ``DETECTED_SCHEMA``'s columns.
+_DETECTED_DTYPES = {"sample_id": "int64", "side": "str", "node": "int64", "block": "int32", "phi": "float64"}
 
 
 def solve_group_reference(

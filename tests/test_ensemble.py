@@ -8,10 +8,12 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.ensemble import (
+    EnsemFDetRun,
     accept,
     detect_on_samples,
     ensemfdet,
     vote,
+    vote_table,
 )
 from repro.core.fdet import fdet
 from repro.core.sampling import sample_edges_spark
@@ -26,8 +28,7 @@ def jd1_run(spark, jd1_small):
     edges, users, g, truth, meta = jd1_small
     edges_df = spark.createDataFrame(edges)
     run = ensemfdet(spark, edges_df, method="RES", s=0.3, n=12, seed=0)
-    yield run, truth, edges
-    run.votes.unpersist()
+    return run, truth, edges
 
 
 class TestPipelinePieces:
@@ -89,22 +90,24 @@ class TestPipelinePieces:
             detected=det_pdf,
         )
 
-    def test_accept_threshold(self, spark):
-        votes = spark.createDataFrame(
-            pd.DataFrame(
-                {"side": ["pin", "pin", "merchant"], "node": [1, 2, 3], "votes": [5, 2, 9]}
-            )
+    def test_vote_table_of_empty_frame_is_typed(self):
+        empty = pd.DataFrame({"sample_id": [], "side": [], "node": []})
+        votes = vote_table(empty)
+        assert votes.empty
+        assert votes.dtypes.astype(str).to_dict() == {"side": "object", "node": "int64", "votes": "int64"}
+
+    def test_accept_threshold(self):
+        votes = pd.DataFrame(
+            {"side": ["pin", "pin", "merchant"], "node": [1, 2, 3], "votes": [5, 2, 9]}
         )
-        got = accept(votes, t=3, side="pin").toPandas()
+        got = accept(votes, t=3, side="pin")
         assert got["node"].tolist() == [1]
 
-    def test_accept_no_side_filter(self, spark):
-        votes = spark.createDataFrame(
-            pd.DataFrame(
-                {"side": ["pin", "merchant"], "node": [1, 3], "votes": [5, 9]}
-            )
+    def test_accept_no_side_filter(self):
+        votes = pd.DataFrame(
+            {"side": ["pin", "merchant"], "node": [1, 3], "votes": [5, 9]}
         )
-        assert accept(votes, t=1, side=None).count() == 2
+        assert len(accept(votes, t=1, side=None)) == 2
 
 
 class TestEnsemFDetEndToEnd:
@@ -142,14 +145,18 @@ class TestEnsemFDetEndToEnd:
         run, _, _ = jd1_run
         t = 3
         via_api = set(run.detected_pins(t).tolist())
-        via_accept = {
-            r["node"] for r in accept(run.votes, t, side="pin").collect()
-        }
+        via_accept = set(accept(run.table, t, side="pin")["node"].tolist())
         assert via_api == via_accept
+
+    def test_run_built_from_votes_view_reads_the_same_votes(self, jd1_run):
+        """``ensbench`` builds a run from a vote DataFrame alone."""
+        run, _, _ = jd1_run
+        rebuilt = EnsemFDetRun(run.votes, run.method, run.s, run.n, run.k_max)
+        pd.testing.assert_frame_equal(rebuilt.pin_votes(), run.pin_votes())
 
     @pytest.mark.parametrize(
         "reject",
-        [lambda run: accept(run.votes, 0), lambda run: run.detected_pins(0), lambda run: run.detected_pins(13)],
+        [lambda run: accept(run.table, 0), lambda run: run.detected_pins(0), lambda run: run.detected_pins(13)],
         ids=["accept-T0", "detected_pins-T0", "detected_pins-T-above-N"],
     )
     def test_bad_threshold_rejected(self, jd1_run, reject):
@@ -176,8 +183,8 @@ class TestEnsemFDetEndToEnd:
             pd.testing.assert_frame_equal(tables[0], table)
 
     def test_shuffles_follow_parallelism_not_conf(self, spark, jd1_small):
-        """One Exchange into the solve and one into the vote, each with
-        one partition per core, whatever ``spark.sql.shuffle.partitions`` says."""
+        """One Exchange, into the solve, with one partition per core,
+        whatever ``spark.sql.shuffle.partitions`` says."""
         edges, *_ = jd1_small
         samples = sample_edges_spark(spark.createDataFrame(edges), "RES", 0.3, 12, seed=0)
         k = spark.sparkContext.defaultParallelism
@@ -185,52 +192,44 @@ class TestEnsemFDetEndToEnd:
         try:
             for shuffle in (1, 200):
                 spark.conf.set("spark.sql.shuffle.partitions", shuffle)
-                votes = vote(detect_on_samples(samples))
-                votes.collect()
-                plan = votes._jdf.queryExecution().executedPlan().toString()
+                detected = detect_on_samples(samples)
+                detected.collect()
+                plan = detected._jdf.queryExecution().executedPlan().toString()
                 final = plan.split("== Initial Plan ==")[0]
                 exchanges = re.findall(r"Exchange (.*)", final)
-                assert len(exchanges) == 2, final
-                for ex in exchanges:
-                    assert re.match(r"hashpartitioning\(.*?, (\d+)\)", ex).group(1) == str(k), ex
+                assert len(exchanges) == 1, final
+                assert re.match(r"hashpartitioning\(sample_id#\d+, (\d+)\)", exchanges[0]).group(1) == str(k), final
         finally:
             spark.conf.set("spark.sql.shuffle.partitions", saved)
 
     def test_empty_input_gives_empty_votes(self, spark):
         run = ensemfdet(spark, spark.createDataFrame([], "pin long, merchant long"), s=0.3, n=4)
-        try:
-            assert run.votes.count() == 0
-            assert run.pin_votes().empty
-        finally:
-            run.votes.unpersist()
+        assert run.votes.count() == 0
+        assert run.pin_votes().empty
 
     def test_one_full_sample_matches_fdet(self, spark, jd1_small):
         """RES with S = 1, N = 1 solves the whole graph once: it flags
         exactly the pins ``fdet`` flags on the relabeled graph."""
         edges, *_ = jd1_small
-        run = ensemfdet(spark, spark.createDataFrame(edges), method="RES", s=1.0, n=1, seed=0)
-        try:
-            got = run.detected_pins(1)
-        finally:
-            run.votes.unpersist()
+        got = ensemfdet(spark, spark.createDataFrame(edges), method="RES", s=1.0, n=1, seed=0).detected_pins(1)
         g, uids, _ = BipartiteGraph.from_pandas(edges).relabeled()
         np.testing.assert_array_equal(got, np.sort(uids[fdet(g).detected_users()]))
 
-    def test_votes_fully_cached_on_return(self, spark, jd1_small):
-        """``ensemfdet`` hands back a vote table whose every partition is cached."""
+    def test_votes_read_on_the_driver_with_nothing_cached(self, spark, jd1_small):
+        """``ensemfdet`` leaves nothing in Spark's cache, and reading its
+        votes afterwards submits no Spark job."""
         edges, *_ = jd1_small
-        with ensemfdet(spark, spark.createDataFrame(edges), method="RES", s=0.3, n=12, seed=0) as run:
-            cached = spark._jsparkSession.sharedState().cacheManager().lookupCachedData(run.votes._jdf)
-            rdd_id = cached.get().cachedRepresentation().cacheBuilder().cachedColumnBuffers().id()
-            (info,) = [i for i in spark.sparkContext._jsc.sc().getRDDStorageInfo() if i.id() == rdd_id]
-            assert info.numCachedPartitions() == info.numPartitions() > 0
-
-    def test_run_as_context_manager_releases_votes(self, spark, jd1_small):
-        edges, *_ = jd1_small
-        with ensemfdet(spark, spark.createDataFrame(edges), method="RES", s=0.3, n=4, seed=0) as run:
-            assert run.votes.storageLevel.useMemory
-        assert not run.votes.storageLevel.useMemory
-        assert not run.votes.storageLevel.useDisk
+        spark.catalog.clearCache()
+        run = ensemfdet(spark, spark.createDataFrame(edges), method="RES", s=0.3, n=12, seed=0)
+        assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
+        sc, group = spark.sparkContext, "read-votes-after-ensemfdet"
+        sc.setJobGroup(group, "reads of a finished run's votes")
+        try:
+            assert not run.pin_votes().empty
+            assert len(run.detected_pins(1)) > 0
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
 
     def test_deterministic_across_runs(self, spark, jd1_small):
         edges, _, _, truth, _ = jd1_small
@@ -239,8 +238,6 @@ class TestEnsemFDetEndToEnd:
         b = ensemfdet(spark, edges_df, method="RES", s=0.3, n=4, seed=7)
         pa = a.pin_votes().sort_values("node").reset_index(drop=True)
         pb = b.pin_votes().sort_values("node").reset_index(drop=True)
-        a.votes.unpersist()
-        b.votes.unpersist()
         pd.testing.assert_frame_equal(pa, pb)
 
     @pytest.mark.parametrize("method", ["ONS_MERCHANT", "TNS"])
@@ -251,5 +248,4 @@ class TestEnsemFDetEndToEnd:
         s = 0.6 if method == "TNS" else 0.3
         run = ensemfdet(spark, edges_df, method=method, s=s, n=12, seed=0)
         sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, 13))
-        run.votes.unpersist()
         assert sweep["f1"].max() > 0.5

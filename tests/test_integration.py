@@ -19,7 +19,6 @@ class TestEnsembleVsFraudar:
         edges_df = spark.createDataFrame(edges)
         run = ensemfdet(spark, edges_df, method="RES", s=0.3, n=12, seed=0)
         sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, 13))
-        run.votes.unpersist()
         fr = fraudar(g, k=30)
         f_best = 0.0
         f_counts = []

@@ -1,5 +1,5 @@
-"""The Python side of the grouped solve: ``_solve_group``'s output frame and
-the solver closure's pruning of cached zip-archive finders."""
+"""The Python side of the grouped solve: ``_solve_group``'s Arrow output table
+and the solver closure's pruning of cached zip-archive finders."""
 import importlib
 import sys
 import zipfile
@@ -7,6 +7,7 @@ import zipimport
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.sql.group import GroupedData
 
@@ -18,7 +19,8 @@ from repro.core.sampling import sample_edges_spark
 from tests import solve_reference
 from tests.solve_reference import solve_group_reference
 
-#: pandas dtype of each Spark type in DETECTED_SCHEMA.
+#: Arrow and pandas types of each Spark type in DETECTED_SCHEMA.
+_ARROW_TYPE = {"long": pa.int64(), "string": pa.string(), "int": pa.int32(), "double": pa.float64()}
 _PANDAS_DTYPE = {"long": "int64", "string": "object", "int": "int32", "double": "float64"}
 
 
@@ -30,11 +32,18 @@ def jd1_samples(spark, jd1_small):
     return [grp.reset_index(drop=True) for _, grp in pdf.groupby("sample_id", sort=True)]
 
 
+def _table(pdf: pd.DataFrame) -> pa.Table:
+    """One group as ``applyInArrow`` hands it over."""
+    return pa.Table.from_pandas(pdf, preserve_index=False)
+
+
 def _assert_matches_reference(pdf: pd.DataFrame, truncate: bool) -> pd.DataFrame:
-    got = _solve_group(pdf, 30, 0.05, 5.0, truncate)
-    pd.testing.assert_frame_equal(got, solve_group_reference(pdf, 30, 0.05, 5.0, truncate))
+    out = _solve_group(_table(pdf), 30, 0.05, 5.0, truncate)
     schema = dict(field.split() for field in DETECTED_SCHEMA.split(", "))
-    assert list(got.columns) == list(schema)
+    assert out.schema.names == list(schema)
+    assert out.schema.types == [_ARROW_TYPE[t] for t in schema.values()]
+    got = out.to_pandas()
+    pd.testing.assert_frame_equal(got, solve_group_reference(pdf, 30, 0.05, 5.0, truncate))
     assert got.dtypes.astype(str).to_dict() == {name: _PANDAS_DTYPE[t] for name, t in schema.items()}
     return got
 
@@ -81,16 +90,17 @@ def test_solver_drops_zip_finders_and_zip_imports_still_work(spark, jd1_samples,
     assert isinstance(sys.path_importer_cache[str(archive)], zipimport.zipimporter)
 
     solvers = []
-    apply_in_pandas = GroupedData.applyInPandas
+    apply_in_arrow = GroupedData.applyInArrow
 
     def capture(self, func, schema):
         solvers.append(func)
-        return apply_in_pandas(self, func, schema)
+        return apply_in_arrow(self, func, schema)
 
-    monkeypatch.setattr(GroupedData, "applyInPandas", capture)
+    monkeypatch.setattr(GroupedData, "applyInArrow", capture)
     detect_on_samples(spark.createDataFrame(jd1_samples[0]))
     (solver,) = solvers
-    pd.testing.assert_frame_equal(solver(jd1_samples[0]), _solve_group(jd1_samples[0], 30, 0.05, 5.0, True))
+    group = _table(jd1_samples[0])
+    assert solver(group).equals(_solve_group(group, 30, 0.05, 5.0, True))
 
     assert not [f for f in sys.path_importer_cache.values() if isinstance(f, zipimport.zipimporter)]
     assert importlib.import_module("zipped_second").VALUE == 2

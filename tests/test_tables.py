@@ -3,8 +3,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.ensemble import ensemfdet
+from repro.eval.metrics import threshold_sweep
 from repro.eval.tables import (
     PAPER_TABLE3,
+    _ensemble_sweep,
     fig1_block_scores,
     format_markdown,
     table1_rows,
@@ -45,6 +48,17 @@ class TestTable3Constants:
     def test_paper_speedups_are_near_10x(self):
         for d, t in PAPER_TABLE3.items():
             assert 9 < t["fraudar"] / t["ensemfdet"] < 15
+
+
+class TestEnsembleSweep:
+    def test_sweeps_every_threshold_of_one_run(self, spark, jd1_small):
+        edges, _, _, truth, _ = jd1_small
+        edges_df = spark.createDataFrame(edges)
+        sweep = _ensemble_sweep(spark, edges_df, truth, "RES", 0.3, 4, 0)
+        assert sweep["T"].tolist() == [1, 2, 3, 4]
+        assert sweep["f1"].max() > 0
+        run = ensemfdet(spark, edges_df, method="RES", s=0.3, n=4, seed=0)
+        pd.testing.assert_frame_equal(sweep, threshold_sweep(run.pin_votes(), truth, np.arange(1, 5)))
 
 
 class TestFig1:
