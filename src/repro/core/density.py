@@ -34,30 +34,3 @@ def merchant_weights(deg_v: np.ndarray, c: float = DEFAULT_C) -> np.ndarray:
 def edge_values(g: BipartiteGraph, w_col: np.ndarray) -> np.ndarray:
     """Per-edge contribution to f(S): edge weight × its merchant's column weight."""
     return g.w * w_col[g.v]
-
-
-def phi(
-    g: BipartiteGraph,
-    w_col: np.ndarray | None = None,
-    c: float = DEFAULT_C,
-    n_nodes: int | None = None,
-) -> float:
-    """Density score of a whole graph.
-
-    ``w_col`` defaults to weights from ``g``'s own merchant degrees —
-    the right thing when scoring a graph in isolation; FDET instead
-    passes the weights of the graph it started from so that removing a
-    block does not inflate the remaining merchants' weights.
-
-    ``n_nodes`` overrides the denominator (used by the peeling loop,
-    where "remaining nodes" includes nodes whose last edge just died);
-    by default only nodes with degree ≥ 1 are counted.
-    """
-    if g.n_edges == 0:
-        return 0.0
-    if w_col is None:
-        w_col = merchant_weights(g.degrees_v(), c)
-    f = float(edge_values(g, w_col).sum())
-    if n_nodes is None:
-        n_nodes = len(g.present_u()) + len(g.present_v())
-    return f / n_nodes if n_nodes > 0 else 0.0

@@ -4,7 +4,7 @@ Dataflow of one ``ensemfdet()`` call, which runs one Spark action:
 
 ```
 edges (pin, merchant)
-  └─ sample_edges_spark ──▶ (sample_id, pin, merchant, w)      # N samples, one pass
+  └─ sample_edges_spark ──▶ (sample_id, pin, merchant)         # N edge sets, one pass
   └─ repartition(k, sample_id), groupBy(sample_id).applyInArrow(FDET)
                                  ──▶ (sample_id, side, node, block, phi)
   └─ select(sample_id, side, node).toPandas()                   # the one action
@@ -51,17 +51,6 @@ _DETECTED_TYPES = pa.schema(
 VOTES_SCHEMA = "side string, node long, votes long"
 
 
-def _parallelism(df: DataFrame) -> int:
-    """Partitions of the solve's shuffle: one per core of ``df``'s session.
-
-    The pipeline repartitions by an explicit count rather than leaving the
-    shuffle to ``spark.sql.shuffle.partitions``: adaptive execution would
-    coalesce the small solve shuffle into one task (serializing the N
-    solves), and a count of partitions is never coalesced.
-    """
-    return df.sparkSession.sparkContext.defaultParallelism
-
-
 def _solve_group(tbl: pa.Table, k_max: int, phi_stop_frac: float, c: float, truncate: bool) -> pa.Table:
     """Solve FDET on one sampled subgraph (one ``applyInArrow`` group).
 
@@ -71,8 +60,8 @@ def _solve_group(tbl: pa.Table, k_max: int, phi_stop_frac: float, c: float, trun
     each block's pins, then its merchants. The output table is built once
     from whole columns, typed by ``_DETECTED_TYPES``.
     """
-    pins, merchants, w = (tbl.column(name).to_numpy() for name in ("pin", "merchant", "w"))
-    g, uids, vids = BipartiteGraph.from_edges(pins, merchants, w).relabeled()
+    pins, merchants = (tbl.column(name).to_numpy() for name in ("pin", "merchant"))
+    g, uids, vids = BipartiteGraph.from_edges(pins, merchants).relabeled()
     result = fdet(g, k_max=k_max, truncate=truncate, phi_stop_frac=phi_stop_frac, c=c)
     runs = [
         (side, ids[nodes], b, block.phi)
@@ -134,7 +123,11 @@ def detect_on_samples(
         _drop_zip_finders()  # so the worker's next task starts without re-reading archives
         return out
 
-    by_sample = samples.repartition(_parallelism(samples), "sample_id")
+    # One partition per core, by explicit count rather than through
+    # ``spark.sql.shuffle.partitions``: adaptive execution coalesces a
+    # small shuffle-partitions exchange into one task (serializing the N
+    # solves), but never a repartition by count.
+    by_sample = samples.repartition(samples.sparkSession.sparkContext.defaultParallelism, "sample_id")
     return by_sample.groupBy("sample_id").applyInArrow(solver, schema=DETECTED_SCHEMA)
 
 
@@ -159,16 +152,6 @@ def vote(detected: DataFrame) -> DataFrame:
     return detected.sparkSession.createDataFrame(table, VOTES_SCHEMA)
 
 
-def accept(votes: pd.DataFrame, t: int, side: str | None = "pin") -> pd.DataFrame:
-    """Rows of a vote table accepted at threshold ``t`` (optionally one side only)."""
-    if t < 1:
-        raise ValueError(f"voting threshold T must be >= 1, got {t}")
-    keep = votes["votes"] >= int(t)
-    if side is not None:
-        keep &= votes["side"] == side
-    return votes.loc[keep, ["side", "node", "votes"]]
-
-
 @dataclass
 class EnsemFDetRun:
     """One EnsemFDet execution: its vote table, held on the driver, and its settings.
@@ -191,10 +174,11 @@ class EnsemFDetRun:
             self.table = self.votes.toPandas().astype({"node": "int64", "votes": "int64"})
 
     def detected_pins(self, t: int) -> np.ndarray:
-        """Accepted PIN ids at threshold ``t``, sorted."""
+        """PIN ids accepted at threshold ``t`` (``votes >= t``, Definition 4), sorted."""
         if not 1 <= t <= self.n:
             raise ValueError(f"voting threshold T must be in [1, N={self.n}], got {t}")
-        return np.sort(accept(self.table, t, side="pin")["node"].to_numpy(dtype=np.int64))
+        keep = (self.table["side"] == "pin") & (self.table["votes"] >= t)
+        return np.sort(self.table.loc[keep, "node"].to_numpy(dtype=np.int64))
 
     def pin_votes(self) -> pd.DataFrame:
         """(node, votes) for the PIN side, for threshold sweeps."""

@@ -23,6 +23,9 @@ from repro.core.density import DEFAULT_C, merchant_weights
 from repro.core.peel import PeelResult, peel_densest
 from repro.graph.bipartite import BipartiteGraph
 
+#: Truncated searches stop this many blocks past the current Δ² elbow.
+PATIENCE = 3
+
 
 def truncating_point(phis: list[float] | np.ndarray) -> int:
     """k̂ = argmin_i Δ²φ(G(S_i)) (Definition 3), as a 1-based block count.
@@ -74,7 +77,6 @@ def fdet(
     k_max: int = 30,
     truncate: bool = True,
     phi_stop_frac: float = 0.05,
-    patience: int = 3,
     c: float = DEFAULT_C,
 ) -> FdetResult:
     """Run FDET on ``g``.
@@ -84,7 +86,7 @@ def fdet(
     block does not make the remaining copies of its merchants look
     lighter-degree (and hence denser) than they were.
 
-    With ``truncate`` the candidate search stops ``patience`` blocks
+    With ``truncate`` the candidate search stops ``PATIENCE`` blocks
     after the current Δ² elbow (or when φ falls below ``phi_stop_frac``
     of the first block's φ) — this online truncation is where the
     paper's "detect less than half of K sets" time saving comes from.
@@ -102,8 +104,8 @@ def fdet(
         if truncate and len(result.blocks) >= 3:
             if block.phi < phi_stop_frac * result.blocks[0].phi:
                 break
-            if truncating_point(result.phis) <= len(result.blocks) - patience:
-                break  # elbow is `patience` blocks behind us; tail is noise
+            if truncating_point(result.phis) <= len(result.blocks) - PATIENCE:
+                break  # elbow is PATIENCE blocks behind us; tail is noise
         work = work.remove_block_edges(block.users, block.merchants)
     result.k_hat = truncating_point(result.phis) if truncate else len(result.blocks)
     return result

@@ -39,20 +39,15 @@ def _hash_frac(*cols) -> F.Column:
     return ((h % _BUCKETS) + _BUCKETS) % _BUCKETS / float(_BUCKETS)
 
 
-def sample_edges_spark(
-    edges: DataFrame,
-    method: str,
-    s: float,
-    n: int,
-    seed: int = 0,
-    rescale_weights: bool = False,
-) -> DataFrame:
-    """Materialize N sampled subgraphs as one DataFrame.
+def sample_edges_spark(edges: DataFrame, method: str, s: float, n: int, seed: int = 0) -> DataFrame:
+    """Materialize N sampled subgraphs as one DataFrame of edge sets.
 
     Parameters mirror the paper's Table II: ``s`` is the sample ratio
     S, ``n`` the number of sampled graphs N. Input needs columns
-    ``pin`` and ``merchant``; output adds ``sample_id`` (0..N-1) and
-    ``w`` (1.0, or 1/p per Theorem 1 when ``rescale_weights``).
+    ``pin`` and ``merchant``; output is ``(sample_id, pin, merchant)``
+    with ``sample_id`` in 0..N-1. Samples carry no edge weight: Theorem
+    1's 1/p rescaling scales φ by one constant per sample, so it never
+    changes which block the peel returns (DESIGN.md §1).
     """
     if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}; one of {METHODS}")
@@ -64,26 +59,13 @@ def sample_edges_spark(
     sid = F.col("sample_id")
     if method == "RES":
         keep = _hash_frac(F.col("pin"), F.col("merchant"), sid, F.lit(seed)) < s
-        p_edge = s
     elif method == "ONS_PIN":
         keep = _hash_frac(F.col("pin"), sid, F.lit(seed)) < s
-        p_edge = s
     elif method == "ONS_MERCHANT":
         keep = _hash_frac(F.col("merchant"), sid, F.lit(seed)) < s
-        p_edge = s
     else:  # TNS — independent hashes per side (distinct salts)
         keep = (_hash_frac(F.col("pin"), sid, F.lit(seed)) < s) & (
             _hash_frac(F.col("merchant"), sid, F.lit(seed + 1_000_003)) < s
         )
-        p_edge = s * s
-
-    w = F.lit(1.0 / p_edge) if rescale_weights else F.lit(1.0)
-    return (
-        edges.select(
-            "pin",
-            "merchant",
-            F.explode(F.sequence(F.lit(0), F.lit(n - 1))).alias("sample_id"),
-        )
-        .where(keep)
-        .select("sample_id", "pin", "merchant", w.alias("w"))
-    )
+    sequence = F.sequence(F.lit(0), F.lit(n - 1))
+    return edges.select(F.explode(sequence).alias("sample_id"), "pin", "merchant").where(keep)

@@ -57,24 +57,13 @@ def score_sweep(
 
     Thresholds are score quantiles; higher score = more suspicious.
     """
-    truth_mask = np.zeros(len(scores), dtype=bool)
-    truth_mask[np.asarray(truth, dtype=np.int64)] = True
-    qs = np.linspace(0.0, 1.0, n_points, endpoint=False)
-    rows = []
     finite = scores[np.isfinite(scores)]
     if len(finite) == 0:
         return pd.DataFrame(columns=["threshold", "n_detected", "precision", "recall", "f1"])
-    for q in qs:
+    rows = []
+    for q in np.linspace(0.0, 1.0, n_points, endpoint=False):
         thr = np.quantile(finite, 1.0 - q) if q > 0 else np.inf
-        det = scores >= thr if np.isfinite(thr) else np.zeros(len(scores), bool)
-        n_det = int(det.sum())
-        if n_det == 0:
-            rows.append(dict(threshold=float(thr), n_detected=0, precision=0.0, recall=0.0, f1=0.0))
-            continue
-        tp = int((det & truth_mask).sum())
-        p = tp / n_det
-        r = tp / max(1, int(truth_mask.sum()))
-        rows.append(
-            dict(threshold=float(thr), n_detected=n_det, precision=p, recall=r, f1=f1_score(p, r))
-        )
+        det = np.flatnonzero(scores >= thr) if np.isfinite(thr) else np.empty(0, dtype=np.int64)
+        p, r, f1 = prf(det, truth)
+        rows.append(dict(threshold=float(thr), n_detected=len(det), precision=p, recall=r, f1=f1))
     return pd.DataFrame(rows)

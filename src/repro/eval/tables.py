@@ -7,7 +7,8 @@ graphs (DESIGN.md §2) at a configurable ``scale``.
 
 The figure harnesses share one evaluation path: ``_ensemble_sweep``
 runs the pipeline (``ensemfdet``: sample → FDET → vote) and sweeps the
-voting threshold T = 1..N, and ``_best`` picks a sweep's best-F1 point.
+voting threshold T = 1..N, and ``_best`` picks a sweep's best-F1 point;
+Figs. 5, 7 and 8 run their points through ``_best_per_run``.
 Fig. 1 and Fig. 6 read their φ curves and k̂ from ``detect_on_samples``,
 the pipeline's own per-sample solve.
 """
@@ -25,7 +26,7 @@ from repro.baselines.fbox import fbox_scores
 from repro.baselines.fraudar import fraudar, fraudar_points
 from repro.baselines.spoken import spoken_scores
 from repro.core.ensemble import detect_on_samples, ensemfdet, vote_table
-from repro.core.sampling import sample_edges_spark
+from repro.core.sampling import METHODS, sample_edges_spark
 from repro.eval.metrics import prf, score_sweep, threshold_sweep
 from repro.graph.bipartite import BipartiteGraph
 from repro.synth_data import JD_PRESETS, jd_transactions
@@ -61,6 +62,24 @@ def _timed_ensemfdet(spark: SparkSession, edges_df: DataFrame, **params) -> floa
     t0 = time.perf_counter()
     ensemfdet(spark, edges_df, **params)
     return time.perf_counter() - t0
+
+
+def _best_per_run(
+    spark: SparkSession, preset: str, scale: float, seed: int, points: list, generator_kwargs: dict | None = None
+) -> pd.DataFrame:
+    """One best-F1 row per ``(labels, method, s, n)`` point, each from one
+    ``_ensemble_sweep`` over the same cached edges, with ``labels`` first."""
+    edges, _, truth, _ = _graph(preset, scale, seed, **(generator_kwargs or {}))
+    edges_df = spark.createDataFrame(edges).cache()
+    edges_df.count()
+    rows = [
+        dict(labels, **_best(_ensemble_sweep(spark, edges_df, truth, method, s, n, seed)))
+        for labels, method, s, n in points
+    ]
+    edges_df.unpersist()
+    out = pd.DataFrame(rows)
+    out.insert(0, "dataset", preset)
+    return out
 
 
 def _best(sweep: pd.DataFrame) -> dict:
@@ -252,17 +271,8 @@ def sampling_comparison(
     a low-pin-degree/high-merchant-degree profile reproduces it.
     """
     n = int(round(r / s))
-    edges, _, truth, _ = _graph(preset, scale, seed, **(generator_kwargs or {}))
-    edges_df = spark.createDataFrame(edges).cache()
-    edges_df.count()
-    rows = []
-    for method in ("RES", "ONS_PIN", "ONS_MERCHANT", "TNS"):
-        s_eff = float(np.sqrt(s)) if method == "TNS" else s
-        rows.append(dict(method=method, **_best(_ensemble_sweep(spark, edges_df, truth, method, s_eff, n, seed))))
-    edges_df.unpersist()
-    out = pd.DataFrame(rows)
-    out.insert(0, "dataset", preset)
-    return out
+    points = [(dict(method=m), m, float(np.sqrt(s)) if m == "TNS" else s, n) for m in METHODS]
+    return _best_per_run(spark, preset, scale, seed, points, generator_kwargs)
 
 
 def truncation_comparison(
@@ -308,14 +318,7 @@ def n_sweep(
     seed: int = 0,
 ) -> pd.DataFrame:
     """Best-F1 vs number of samples N at fixed S (Fig. 7)."""
-    edges, _, truth, _ = _graph(preset, scale, seed)
-    edges_df = spark.createDataFrame(edges).cache()
-    edges_df.count()
-    rows = [dict(N=n, S=s, **_best(_ensemble_sweep(spark, edges_df, truth, "RES", s, n, seed))) for n in ns]
-    edges_df.unpersist()
-    out = pd.DataFrame(rows)
-    out.insert(0, "dataset", preset)
-    return out
+    return _best_per_run(spark, preset, scale, seed, [(dict(N=n, S=s), "RES", s, n) for n in ns])
 
 
 def s_sweep(
@@ -327,17 +330,8 @@ def s_sweep(
     seed: int = 0,
 ) -> pd.DataFrame:
     """Best-F1 vs sample ratio S at fixed repetition rate R = S·N (Fig. 8)."""
-    edges, _, truth, _ = _graph(preset, scale, seed)
-    edges_df = spark.createDataFrame(edges).cache()
-    edges_df.count()
-    rows = []
-    for s in ss:
-        n = max(1, int(round(r / s)))
-        rows.append(dict(S=s, N=n, **_best(_ensemble_sweep(spark, edges_df, truth, "RES", s, n, seed))))
-    edges_df.unpersist()
-    out = pd.DataFrame(rows)
-    out.insert(0, "dataset", preset)
-    return out
+    ns = [max(1, int(round(r / s))) for s in ss]
+    return _best_per_run(spark, preset, scale, seed, [(dict(S=s, N=n), "RES", s, n) for s, n in zip(ss, ns)])
 
 
 def threshold_analysis(

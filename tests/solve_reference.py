@@ -27,7 +27,7 @@ def solve_group_reference(
     (with truncation unless ``truncate`` is False: FIX-K), and emits one
     row per detected node per selected block, mapped back to original ids.
     """
-    g, uids, vids = BipartiteGraph.from_pandas(pdf, "pin", "merchant", "w").relabeled()
+    g, uids, vids = BipartiteGraph.from_pandas(pdf, "pin", "merchant").relabeled()
     result = fdet(g, k_max=k_max, truncate=truncate, phi_stop_frac=phi_stop_frac, c=c)
     frames = [
         pd.DataFrame(

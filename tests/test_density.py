@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.density import DEFAULT_C, edge_values, merchant_weights, phi
+from repro.core.density import DEFAULT_C, edge_values, merchant_weights
 from repro.graph.bipartite import BipartiteGraph
-from repro.oracle import assert_equivalent
+from tests.density_reference import phi
+from tests.oracle import assert_equivalent
 
 
 class TestMerchantWeights:

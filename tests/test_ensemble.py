@@ -9,7 +9,6 @@ from pyspark.sql import functions as F
 
 from repro.core.ensemble import (
     EnsemFDetRun,
-    accept,
     detect_on_samples,
     ensemfdet,
     vote,
@@ -19,7 +18,7 @@ from repro.core.fdet import fdet
 from repro.core.sampling import sample_edges_spark
 from repro.eval.metrics import prf, threshold_sweep
 from repro.graph.bipartite import BipartiteGraph
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -97,17 +96,12 @@ class TestPipelinePieces:
         assert votes.dtypes.astype(str).to_dict() == {"side": "object", "node": "int64", "votes": "int64"}
 
     def test_accept_threshold(self):
+        """``detected_pins`` accepts the pins with votes >= T, and no merchant."""
         votes = pd.DataFrame(
             {"side": ["pin", "pin", "merchant"], "node": [1, 2, 3], "votes": [5, 2, 9]}
         )
-        got = accept(votes, t=3, side="pin")
-        assert got["node"].tolist() == [1]
-
-    def test_accept_no_side_filter(self):
-        votes = pd.DataFrame(
-            {"side": ["pin", "merchant"], "node": [1, 3], "votes": [5, 9]}
-        )
-        assert len(accept(votes, t=1, side=None)) == 2
+        run = EnsemFDetRun(None, "RES", 0.1, 12, 30, table=votes)
+        assert run.detected_pins(3).tolist() == [1]
 
 
 class TestEnsemFDetEndToEnd:
@@ -142,10 +136,12 @@ class TestEnsemFDetEndToEnd:
         assert np.all(np.diff(sweep["n_detected"].to_numpy()) <= 0)
 
     def test_detected_pins_match_accept(self, jd1_run):
+        """``detected_pins`` is Definition 4's accept rule on the pin votes."""
         run, _, _ = jd1_run
         t = 3
         via_api = set(run.detected_pins(t).tolist())
-        via_accept = set(accept(run.table, t, side="pin")["node"].tolist())
+        pin_votes = run.pin_votes()
+        via_accept = set(pin_votes.loc[pin_votes["votes"] >= t, "node"].tolist())
         assert via_api == via_accept
 
     def test_run_built_from_votes_view_reads_the_same_votes(self, jd1_run):
@@ -156,8 +152,8 @@ class TestEnsemFDetEndToEnd:
 
     @pytest.mark.parametrize(
         "reject",
-        [lambda run: accept(run.table, 0), lambda run: run.detected_pins(0), lambda run: run.detected_pins(13)],
-        ids=["accept-T0", "detected_pins-T0", "detected_pins-T-above-N"],
+        [lambda run: run.detected_pins(0), lambda run: run.detected_pins(13)],
+        ids=["detected_pins-T0", "detected_pins-T-above-N"],
     )
     def test_bad_threshold_rejected(self, jd1_run, reject):
         run, _, _ = jd1_run

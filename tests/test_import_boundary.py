@@ -1,4 +1,6 @@
-"""The local solvers, baselines, metrics and data generator import no Spark."""
+"""Import boundaries: the local solvers, baselines, metrics and data
+generator import no Spark, and no ``repro`` module imports a test-only
+dependency."""
 import os
 import subprocess
 import sys
@@ -7,14 +9,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_local_modules_import_no_pyspark():
-    code = (
-        "import sys\n"
-        "import repro.core.density, repro.core.peel, repro.core.fdet\n"
-        "import repro.baselines, repro.eval.metrics, repro.synth_data\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'pyspark')\n"
-        "assert 'pyspark' not in sys.modules, loaded\n"
-    )
+def _run_in_fresh_interpreter(code: str) -> None:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -23,3 +18,26 @@ def test_local_modules_import_no_pyspark():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_local_modules_import_no_pyspark():
+    _run_in_fresh_interpreter(
+        "import sys\n"
+        "import repro.core.density, repro.core.peel, repro.core.fdet\n"
+        "import repro.baselines, repro.eval.metrics, repro.synth_data\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'pyspark')\n"
+        "assert 'pyspark' not in sys.modules, loaded\n"
+    )
+
+
+def test_no_repro_module_imports_duckdb():
+    """DuckDB is the tests' oracle, not a dependency of the package."""
+    _run_in_fresh_interpreter(
+        "import importlib, pkgutil, sys\n"
+        "import repro\n"
+        "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "assert 'repro.eval.tables' in sys.modules, names\n"
+        "assert 'duckdb' not in sys.modules\n"
+    )

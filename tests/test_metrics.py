@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.metrics import f1_score, prf, score_sweep, threshold_sweep
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 class TestPrf:

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.density import merchant_weights, phi
+from repro.core.density import merchant_weights
 from repro.core.peel import peel_densest
 from repro.graph.bipartite import BipartiteGraph
 
+from tests.density_reference import phi
 from tests.helpers import clique_plus_noise
 
 

@@ -4,10 +4,11 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.density import merchant_weights, phi
+from repro.core.density import merchant_weights
 from repro.core.sampling import METHODS, sample_edges_spark
 from repro.graph.bipartite import BipartiteGraph
-from repro.oracle import assert_equivalent
+from tests.density_reference import phi
+from tests.oracle import assert_equivalent
 
 
 def expected_sampled_degree_counts(
@@ -62,6 +63,11 @@ class TestSparkSamplingValidation:
 
 
 class TestSparkSamplingSemantics:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_samples_are_edge_sets(self, edges_df, method):
+        """A sample is its edges alone: no weight column rides along."""
+        assert sample_edges_spark(edges_df, method, 0.5, 2).columns == ["sample_id", "pin", "merchant"]
+
     @pytest.mark.parametrize("method", METHODS)
     def test_produces_n_sample_ids(self, edges_df, method):
         out = sample_edges_spark(edges_df, method, 0.5, 6, seed=1).toPandas()
@@ -131,15 +137,6 @@ class TestSparkSamplingSemantics:
         expect = s * s * len(edge_pdf)
         assert abs(per_sample - expect) < 0.5 * expect
 
-    def test_rescale_weights(self, edges_df):
-        out = sample_edges_spark(edges_df, "RES", 0.25, 1, seed=0, rescale_weights=True)
-        w = out.select("w").distinct().collect()
-        assert len(w) == 1 and w[0]["w"] == pytest.approx(4.0)
-
-    def test_default_weight_one(self, edges_df):
-        out = sample_edges_spark(edges_df, "RES", 0.25, 1, seed=0)
-        assert out.select("w").distinct().collect()[0]["w"] == 1.0
-
     def test_sample_count_oracle(self, spark, edges_df, edge_pdf):
         """Per-sample edge counts agree with a DuckDB replica of the
         sampling computed from the materialized sample table itself."""
@@ -190,17 +187,17 @@ class TestLemma1:
 
 def rescaled_phi_errors(spark, g: BipartiteGraph, p: float, n: int) -> list[float]:
     """Relative φ error of each of ``n`` RES samples at ratio ``p``, with
-    1/p weights, against the full graph; column weights stay those of
-    the full graph on both sides."""
+    the 1/p weights of Theorem 1 attached here, against the full graph;
+    column weights stay those of the full graph on both sides."""
     w_col = merchant_weights(g.degrees_v())
     full = phi(g, w_col=w_col)
     edges = spark.createDataFrame(pd.DataFrame({"pin": g.u, "merchant": g.v}))
-    pdf = sample_edges_spark(edges, "RES", p, n, seed=0, rescale_weights=True).toPandas()
-    return [
-        abs(phi(BipartiteGraph.from_pandas(grp, w_col="w", n_u=g.n_u, n_v=g.n_v), w_col=w_col) - full)
-        / full
+    pdf = sample_edges_spark(edges, "RES", p, n, seed=0).toPandas()
+    rescaled = (
+        BipartiteGraph.from_edges(grp["pin"], grp["merchant"], np.full(len(grp), 1 / p), n_u=g.n_u, n_v=g.n_v)
         for _, grp in pdf.groupby("sample_id")
-    ]
+    )
+    return [abs(phi(sample, w_col=w_col) - full) / full for sample in rescaled]
 
 
 class TestTheorem1:

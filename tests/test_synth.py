@@ -3,9 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.density import merchant_weights, phi
+from repro.core.density import merchant_weights
 from repro.graph.bipartite import BipartiteGraph
 from repro.synth_data import JD_PRESETS, jd_transactions
+from tests.density_reference import phi
 
 
 class TestJdGenerator:
