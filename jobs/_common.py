@@ -17,7 +17,6 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.ui.enabled", "false")
         .config("spark.ui.showConsoleProgress", "false")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
 

@@ -1,4 +1,1 @@
 """Comparison methods from the paper's §V-B2: FRAUDAR, SPOKEN, FBox."""
-from repro.baselines.fbox import fbox_scores  # noqa: F401
-from repro.baselines.fraudar import fraudar  # noqa: F401
-from repro.baselines.spoken import spoken_scores  # noqa: F401

@@ -1,11 +1,14 @@
 /* Exact greedy peel (Charikar; FRAUDAR's lazy min-heap) for repro.core.peel.
  *
- * Nodes live in one id space: user i -> i, merchant j -> n_u + j. Every
- * step is the one the reference Python loop takes, in the same floating
- * point order, so results are bit-identical to it:
+ * Nodes live in one id space: user i -> i, merchant j -> n_u + j. An edge
+ * leaves the graph exactly when its first endpoint is peeled, so it is
+ * alive iff both its ends are: liveness is tracked on nodes only, and each
+ * node's incidence list holds packed (neighbour, value) arcs. Every step is
+ * the one the reference Python loop takes, in the same floating point
+ * order, so results are bit-identical to it:
  *   - priorities accumulate in edge order, as np.add.at does;
- *   - the incidence lists hold each node's edge ids in ascending order,
- *     as a stable argsort of the endpoints gives;
+ *   - each node's arcs are in ascending edge order, as a stable argsort
+ *     of the endpoints gives;
  *   - the heap orders entries on (priority, node id), as heapq orders its
  *     tuples; equal entries are indistinguishable, so any correct heap
  *     pops the same sequence.
@@ -18,6 +21,11 @@ typedef struct {
     double p;
     int64_t x;
 } entry;
+
+typedef struct {
+    int64_t y;
+    double val;
+} arc;
 
 static int less(entry a, entry b) { return a.p < b.p || (a.p == b.p && a.x < b.x); }
 
@@ -59,11 +67,10 @@ int64_t peel(int64_t n_u, int64_t n_v, int64_t E, const int64_t *u, const int64_
     int64_t n = n_u + n_v, n_active = 0, n_removed = 0, n_heap = 0, ret = -1;
     double *prio = calloc(n, sizeof *prio);
     int64_t *start = calloc(n + 1, sizeof *start);
-    int64_t *inc = malloc(2 * E * sizeof *inc);
-    char *alive_edge = malloc(E);
+    arc *arcs = malloc(2 * E * sizeof *arcs);
     char *alive_node = calloc(n, 1);
     entry *heap = malloc((n + E) * sizeof *heap);
-    if (!prio || !start || !inc || !alive_edge || !alive_node || !heap) goto out;
+    if (!prio || !start || !arcs || !alive_node || !heap) goto out;
 
     ret = -2;
     for (int64_t e = 0; e < E; e++) {
@@ -79,9 +86,8 @@ int64_t peel(int64_t n_u, int64_t n_v, int64_t E, const int64_t *u, const int64_
     /* Counting sort; order[] serves as each node's fill cursor until the peel. */
     int64_t *fill = order;
     for (int64_t x = 0; x < n; x++) fill[x] = start[x];
-    for (int64_t e = 0; e < E; e++) inc[fill[u[e]]++] = e;
-    for (int64_t e = 0; e < E; e++) inc[fill[n_u + v[e]]++] = e;
-    for (int64_t e = 0; e < E; e++) alive_edge[e] = 1;
+    for (int64_t e = 0; e < E; e++) arcs[fill[u[e]]++] = (arc){n_u + v[e], val[e]};
+    for (int64_t e = 0; e < E; e++) arcs[fill[n_u + v[e]]++] = (arc){u[e], val[e]};
 
     for (int64_t x = 0; x < n; x++) {
         if (start[x + 1] > start[x]) {
@@ -101,15 +107,11 @@ int64_t peel(int64_t n_u, int64_t n_v, int64_t E, const int64_t *u, const int64_
         if (!alive_node[x] || top.p - prio[x] > 1e-12) continue;
         alive_node[x] = 0;
         for (int64_t i = start[x]; i < start[x + 1]; i++) {
-            int64_t e = inc[i];
-            if (!alive_edge[e]) continue;
-            alive_edge[e] = 0;
-            f -= val[e];
-            int64_t y = x < n_u ? n_u + v[e] : u[e];
-            if (alive_node[y]) {
-                prio[y] -= val[e];
-                push(heap, &n_heap, (entry){prio[y], y});
-            }
+            arc a = arcs[i];
+            if (!alive_node[a.y]) continue;
+            f -= a.val;
+            prio[a.y] -= a.val;
+            push(heap, &n_heap, (entry){prio[a.y], a.y});
         }
         order[n_removed++] = x;
         n_active--;
@@ -126,8 +128,7 @@ int64_t peel(int64_t n_u, int64_t n_v, int64_t E, const int64_t *u, const int64_
 out:
     free(prio);
     free(start);
-    free(inc);
-    free(alive_edge);
+    free(arcs);
     free(alive_node);
     free(heap);
     return ret;

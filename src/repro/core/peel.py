@@ -5,7 +5,9 @@ least weighted edge mass, tracking φ = f / (#remaining nodes) over the
 whole deletion sequence; the best prefix-complement is the detected
 block. A lazy min-heap gives the paper's O(|E| log(|U|+|V|)) bound —
 priorities only ever decrease, so a popped entry is valid iff it still
-equals the node's current priority.
+equals the node's current priority. An edge leaves the graph exactly
+when its first endpoint is removed, so an edge is alive iff both its
+ends are: the kernel tracks liveness on nodes only.
 
 The loop runs in a native kernel, ``_peel.c``, loaded with ctypes. It
 is compiled on first import with ``cc`` into ``_build/`` next to this

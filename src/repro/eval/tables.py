@@ -32,6 +32,8 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.synth_data import JD_PRESETS, jd_transactions
 
 PRESETS = ("jd1", "jd2", "jd3")
+#: Decimal places every printed table is rounded to.
+FLOAT_DIGITS = 4
 
 #: Paper Table III wall-clock seconds (S=0.1, N=80; FRAUDAR K=30).
 PAPER_TABLE3 = {
@@ -349,10 +351,9 @@ def threshold_analysis(
     return sweep
 
 
-def format_markdown(rows: list[dict] | pd.DataFrame, floatfmt: int = 4) -> str:
+def format_markdown(rows: list[dict] | pd.DataFrame) -> str:
     """Render rows as a GitHub markdown table (no external deps)."""
-    df = pd.DataFrame(rows)
-    df = df.round(floatfmt)
+    df = pd.DataFrame(rows).round(FLOAT_DIGITS)
     header = "| " + " | ".join(map(str, df.columns)) + " |"
     sep = "|" + "|".join(["---"] * len(df.columns)) + "|"
     body = ["| " + " | ".join(str(x) for x in rec) + " |" for rec in df.itertuples(index=False)]

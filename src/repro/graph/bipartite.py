@@ -93,35 +93,22 @@ class BipartiteGraph:
         """Merchant degrees (number of incident edges) — the d_j of Definition 2."""
         return np.bincount(self.v, minlength=self.n_v).astype(np.int64)
 
-    def present_u(self) -> np.ndarray:
-        """Ids of users with at least one incident edge."""
-        return np.unique(self.u)
-
-    def present_v(self) -> np.ndarray:
-        """Ids of merchants with at least one incident edge."""
-        return np.unique(self.v)
-
     # ------------------------------------------------------------ mutations
-    def keep_edges(self, mask: np.ndarray) -> "BipartiteGraph":
-        """New graph with only the edges where ``mask`` is True (same id spaces)."""
-        mask = np.asarray(mask, dtype=bool)
-        return BipartiteGraph(
-            u=self.u[mask], v=self.v[mask], w=self.w[mask], n_u=self.n_u, n_v=self.n_v
-        )
-
     def remove_block_edges(self, users, merchants) -> "BipartiteGraph":
         """Drop edges with BOTH endpoints inside a detected block.
 
         This is FDET's outer-loop step "remove E_i from G" (Algorithm 1,
         line 11): only the intra-block edges leave; a user keeps its
-        edges to merchants outside the block.
+        edges to merchants outside the block. The id spaces are unchanged.
         """
         in_u = np.zeros(self.n_u, dtype=bool)
         in_u[np.asarray(users, dtype=np.int64)] = True
         in_v = np.zeros(self.n_v, dtype=bool)
         in_v[np.asarray(merchants, dtype=np.int64)] = True
-        drop = in_u[self.u] & in_v[self.v]
-        return self.keep_edges(~drop)
+        keep = ~(in_u[self.u] & in_v[self.v])
+        return BipartiteGraph(
+            u=self.u[keep], v=self.v[keep], w=self.w[keep], n_u=self.n_u, n_v=self.n_v
+        )
 
     def relabeled(self) -> tuple["BipartiteGraph", np.ndarray, np.ndarray]:
         """Compact to contiguous ids, with edges in canonical order.

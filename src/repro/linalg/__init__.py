@@ -1,2 +1,1 @@
 """Numerical substrate: sparse truncated SVD (scipy is absent offline)."""
-from repro.linalg.svd import truncated_svd  # noqa: F401

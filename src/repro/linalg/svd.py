@@ -20,6 +20,10 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 
+#: Power iterations and oversampling columns of the range finder.
+N_ITER = 7
+OVERSAMPLE = 10
+
 
 def _matmat(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
     """W @ x for x of shape (n_v, m), via scatter-add over edges."""
@@ -36,11 +40,7 @@ def _rmatmat(g: BipartiteGraph, y: np.ndarray) -> np.ndarray:
 
 
 def truncated_svd(
-    g: BipartiteGraph,
-    k: int,
-    n_iter: int = 7,
-    oversample: int = 10,
-    seed: int = 0,
+    g: BipartiteGraph, k: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-``k`` singular triplets of the biadjacency matrix of ``g``.
 
@@ -56,12 +56,12 @@ def truncated_svd(
             np.zeros((k, g.n_v)),
         )
     k = int(min(k, g.n_u, g.n_v))
-    m = min(k + oversample, g.n_u, g.n_v)
+    m = min(k + OVERSAMPLE, g.n_u, g.n_v)
     rng = np.random.default_rng(seed)
 
     q = _matmat(g, rng.standard_normal((g.n_v, m)))
     q, _ = np.linalg.qr(q)
-    for _ in range(n_iter):
+    for _ in range(N_ITER):
         q, _ = np.linalg.qr(_rmatmat(g, q))
         q, _ = np.linalg.qr(_matmat(g, q))
     b = _rmatmat(g, q).T  # Qᵀ W, shape (m, n_v)

@@ -37,5 +37,5 @@ def phi(
         w_col = merchant_weights(g.degrees_v(), c)
     f = float(edge_values(g, w_col).sum())
     if n_nodes is None:
-        n_nodes = len(g.present_u()) + len(g.present_v())
+        n_nodes = len(np.unique(g.u)) + len(np.unique(g.v))
     return f / n_nodes if n_nodes > 0 else 0.0

@@ -77,26 +77,12 @@ class TestDegrees:
         assert g.degrees_u().tolist() == [1, 0, 0, 0, 0]
         assert g.degrees_v().tolist() == [1, 0, 0, 0]
 
-    def test_present_excludes_isolated(self):
-        g = BipartiteGraph.from_edges([0, 2], [1, 1], n_u=5, n_v=3)
-        assert g.present_u().tolist() == [0, 2]
-        assert g.present_v().tolist() == [1]
-
     def test_degree_sum_equals_edges(self):
         g = g123()
         assert g.degrees_u().sum() == g.n_edges == g.degrees_v().sum()
 
 
 class TestMutation:
-    def test_keep_edges(self):
-        g = g123().keep_edges([True, False, True, False])
-        assert g.n_edges == 2
-        assert g.u.tolist() == [0, 1]
-
-    def test_keep_edges_preserves_id_space(self):
-        g = g123().keep_edges([False] * 4)
-        assert g.n_edges == 0 and g.n_u == 3 and g.n_v == 2
-
     def test_remove_block_edges_only_intra(self):
         # block = {user 0} x {merchant 0}: edge (0,0) dies, (0,1) and (1,0) survive
         g = g123().remove_block_edges([0], [0])
@@ -105,7 +91,7 @@ class TestMutation:
 
     def test_remove_block_edges_full_block(self):
         g = g123().remove_block_edges([0, 1, 2], [0, 1])
-        assert g.n_edges == 0
+        assert g.n_edges == 0 and g.n_u == 3 and g.n_v == 2
 
     def test_remove_block_edges_empty_block(self):
         g = g123().remove_block_edges([], [])

@@ -1,6 +1,6 @@
 """Import boundaries: the local solvers, baselines, metrics and data
-generator import no Spark, and no ``repro`` module imports a test-only
-dependency."""
+generator import no Spark, no ``repro`` module imports a test-only
+dependency, and no package re-export shadows a module."""
 import os
 import subprocess
 import sys
@@ -24,7 +24,8 @@ def test_local_modules_import_no_pyspark():
     _run_in_fresh_interpreter(
         "import sys\n"
         "import repro.core.density, repro.core.peel, repro.core.fdet\n"
-        "import repro.baselines, repro.eval.metrics, repro.synth_data\n"
+        "import repro.baselines.fbox, repro.baselines.fraudar, repro.baselines.spoken\n"
+        "import repro.eval.metrics, repro.synth_data\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'pyspark')\n"
         "assert 'pyspark' not in sys.modules, loaded\n"
     )
@@ -40,4 +41,19 @@ def test_no_repro_module_imports_duckdb():
         "    importlib.import_module(name)\n"
         "assert 'repro.eval.tables' in sys.modules, names\n"
         "assert 'duckdb' not in sys.modules\n"
+    )
+
+
+def test_packages_bind_only_modules():
+    """A name a package binds would shadow a submodule of that name:
+    ``repro.core.fdet`` must be the module, not the function ``fdet``."""
+    _run_in_fresh_interpreter(
+        "import importlib, pkgutil, types\n"
+        "import repro\n"
+        "mods = [importlib.import_module(m.name) for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+        "for pkg in [repro] + [m for m in mods if hasattr(m, '__path__')]:\n"
+        "    bound = [k for k, x in vars(pkg).items() if not k.startswith('__') and not isinstance(x, types.ModuleType)]\n"
+        "    assert not bound, (pkg.__name__, bound)\n"
+        "import repro.core.fdet\n"
+        "assert isinstance(repro.core.fdet, types.ModuleType), repro.core.fdet\n"
     )

@@ -61,7 +61,8 @@ class TestPeelMicro:
         r = peel_densest(g)
         in_u = np.isin(g.u, r.users)
         in_v = np.isin(g.v, r.merchants)
-        sub = g.keep_edges(in_u & in_v)
+        m = in_u & in_v
+        sub = BipartiteGraph.from_edges(g.u[m], g.v[m], g.w[m], n_u=g.n_u, n_v=g.n_v)
         assert phi(sub, w_col=w_col, n_nodes=r.n_nodes) == pytest.approx(r.phi)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -109,8 +110,8 @@ class TestPeelProperties:
         )
         r = peel_densest(g)
         assert len(r.users) >= 1 or len(r.merchants) >= 1
-        assert np.isin(r.users, g.present_u()).all()
-        assert np.isin(r.merchants, g.present_v()).all()
+        assert np.isin(r.users, g.u).all()
+        assert np.isin(r.merchants, g.v).all()
 
     def test_deterministic(self, micro_clique):
         g, _, _ = micro_clique

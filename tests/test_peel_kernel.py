@@ -15,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.core.fdet as fdet_module
 from repro.core.fdet import fdet
 from repro.core.peel import peel_densest
 from repro.graph.bipartite import BipartiteGraph
 
 from tests.peel_reference import peel_densest_reference
-
-FDET_MODULE = sys.modules["repro.core.fdet"]  # `repro.core.fdet` the attribute is the function
 
 
 def assert_same_result(a, b):
@@ -36,11 +35,11 @@ def assert_same_result(a, b):
 def fdet_both(g, **kwargs):
     """fdet() on ``g`` with the kernel, then with the reference loop in its place."""
     native = fdet(g, **kwargs)
-    FDET_MODULE.peel_densest = peel_densest_reference
+    fdet_module.peel_densest = peel_densest_reference
     try:
         reference = fdet(g, **kwargs)
     finally:
-        FDET_MODULE.peel_densest = peel_densest
+        fdet_module.peel_densest = peel_densest
     return native, reference
 
 

@@ -72,7 +72,8 @@ class TestJdGenerator:
             pins_b = fraud_pins[meta["block_of_pin"] == b]
             in_u = np.isin(g.u, pins_b)
             in_v = np.isin(g.v, merch)
-            sub = g.keep_edges(in_u & in_v)
+            m = in_u & in_v
+            sub = BipartiteGraph.from_edges(g.u[m], g.v[m], g.w[m], n_u=g.n_u, n_v=g.n_v)
             assert phi(sub, w_col=w_col) > 2.0 * background
 
     def test_blocks_are_disjoint(self, jd1):
