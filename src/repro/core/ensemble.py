@@ -1,13 +1,15 @@
 """EnsemFDet (Algorithm 2): sample → parallel FDET → majority voting.
 
-Dataflow of one ``ensemfdet()`` call, which runs one Spark action:
+Dataflow of one ``ensemfdet()`` call (``detect``, then the vote):
 
 ```
 edges (pin, merchant)
-  └─ sample_edges_spark ──▶ (sample_id, pin, merchant)         # N edge sets, one pass
-  └─ repartition(k, sample_id), groupBy(sample_id).applyInArrow(FDET)
+  └─ select(pin, merchant).toArrow(), ids checked ──▶ broadcast  # the one edge collect
+  └─ spark.range(N), min(k, N) tasks .mapInArrow:
+       per sample i of the task: Sampler.keep(i) → _solve_group
                                  ──▶ (sample_id, side, node, block, phi)
-  └─ select(sample_id, side, node).toPandas()                   # the one action
+  └─ toArrow()                                                   # the one solve job
+  └─ broadcast destroyed
   └─ vote_table, on the driver: drop_duplicates, size per (side, node)
                                  ──▶ (side, node, votes)         # MVA numerator
   └─ votes >= T ──▶ detected nodes                             # Definition 4
@@ -17,20 +19,24 @@ The per-sample FDET solve is sequential by the paper's own argument
 (heuristic peeling cannot be parallelized); Spark schedules the N
 independent solves across cores — exactly the paper's "apply FDET to
 all sampled graphs simultaneously with the multicore environment".
-Voting is a count per node over the detected rows, which the driver
-holds anyway (about 20k rows on the bench's TNS call), so it runs in
-pandas rather than as a second shuffle. The Python workers do only
-solve work: each sample arrives and leaves as an Arrow table, its
-output built once from whole columns, and after each group the worker
-drops its cached zip-archive finders, which Spark's per-task
-``importlib.invalidate_caches()`` would otherwise re-read on CPython
-before 3.13 (``_drop_zip_finders``).
+Each solve task draws its own samples from the broadcast edges
+(``repro.core.sampling.map_samples``), so no edge is replicated N
+times and nothing is shuffled. Voting is a count per node over the
+detected rows, which the driver holds anyway (about 20k rows on the
+bench's TNS call), so it runs in pandas rather than as a second
+shuffle. Each sample's output is built once from whole columns, and
+after each sample the worker drops its cached zip-archive finders,
+which Spark's per-task ``importlib.invalidate_caches()`` would
+otherwise re-read on CPython before 3.13 (``_drop_zip_finders``).
+
+``detect_on_samples`` solves samples that are already a DataFrame
+(``sample_edges_spark``'s output) through a shuffle into
+``applyInArrow`` groups; only the benchmark's per-layer split uses it.
 """
 from __future__ import annotations
 
 import sys
 import zipimport
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -39,7 +45,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.density import DEFAULT_C
 from repro.core.fdet import fdet
-from repro.core.sampling import sample_edges_spark
+from repro.core.sampling import map_samples
 from repro.graph.bipartite import BipartiteGraph
 
 #: Output schema of the grouped FDET solver, and the Arrow types it is built with.
@@ -52,7 +58,7 @@ VOTES_SCHEMA = "side string, node long, votes long"
 
 
 def _solve_group(tbl: pa.Table, k_max: int, phi_stop_frac: float, c: float, truncate: bool) -> pa.Table:
-    """Solve FDET on one sampled subgraph (one ``applyInArrow`` group).
+    """Solve FDET on one sampled subgraph (one sample of a task, or one ``applyInArrow`` group).
 
     Relabels the group's sparse raw ids to a compact space, runs FDET
     (with truncation unless ``truncate`` is False: FIX-K), and emits one
@@ -152,26 +158,35 @@ def vote(detected: DataFrame) -> DataFrame:
     return detected.sparkSession.createDataFrame(table, VOTES_SCHEMA)
 
 
-@dataclass
 class EnsemFDetRun:
     """One EnsemFDet execution: its vote table, held on the driver, and its settings.
 
-    ``table`` is the (side, node, votes) frame every reader uses;
-    ``votes`` is a Spark view over it. Nothing is cached in Spark, so
-    there is nothing to release. A run built from ``votes`` alone
-    collects ``table`` once.
+    ``table`` is the (side, node, votes) frame every reader uses.
+    ``votes`` is a Spark view over it (``VOTES_SCHEMA``), built from
+    ``table`` in ``session`` on first read; nothing is cached in Spark,
+    so there is nothing to release. A run built from a ``votes`` frame
+    alone collects ``table`` from it once.
     """
 
-    votes: DataFrame
-    method: str
-    s: float
-    n: int
-    k_max: int
-    table: pd.DataFrame | None = None
+    def __init__(
+        self,
+        votes: DataFrame | None,
+        method: str,
+        s: float,
+        n: int,
+        k_max: int,
+        table: pd.DataFrame | None = None,
+        session: SparkSession | None = None,
+    ):
+        self.method, self.s, self.n, self.k_max = method, s, n, k_max
+        self._votes, self._session = votes, session
+        self.table = votes.toPandas().astype({"node": "int64", "votes": "int64"}) if table is None else table
 
-    def __post_init__(self) -> None:
-        if self.table is None:
-            self.table = self.votes.toPandas().astype({"node": "int64", "votes": "int64"})
+    @property
+    def votes(self) -> DataFrame:
+        if self._votes is None:
+            self._votes = self._session.createDataFrame(self.table, VOTES_SCHEMA)
+        return self._votes
 
     def detected_pins(self, t: int) -> np.ndarray:
         """PIN ids accepted at threshold ``t`` (``votes >= t``, Definition 4), sorted."""
@@ -183,6 +198,40 @@ class EnsemFDetRun:
     def pin_votes(self) -> pd.DataFrame:
         """(node, votes) for the PIN side, for threshold sweeps."""
         return self.table.loc[self.table["side"] == "pin", ["node", "votes"]].reset_index(drop=True)
+
+
+def detect(
+    edges: DataFrame,
+    method: str,
+    s: float,
+    n: int,
+    seed: int = 0,
+    k_max: int = 30,
+    phi_stop_frac: float = 0.05,
+    c: float = DEFAULT_C,
+    truncate: bool = True,
+) -> pd.DataFrame:
+    """FDET's detected rows (``DETECTED_SCHEMA``) on every sample of ``edges``, on the driver.
+
+    Each of the min(k, N) solve tasks draws its samples from the
+    broadcast edges (``map_samples``) and solves them one by one with
+    ``_solve_group``; the rows are collected in the call's one solve
+    job, after which the broadcast is destroyed. ``truncate=False``
+    keeps all ``k_max`` candidate blocks per sample: EnsemFDet-FIX-K on
+    the same samples.
+    """
+
+    def solve(i: int, pins: np.ndarray, merchants: np.ndarray) -> pa.Table:
+        sample = pa.table({"sample_id": np.full(len(pins), i, dtype=np.int64), "pin": pins, "merchant": merchants})
+        out = _solve_group(sample, k_max, phi_stop_frac, c, truncate)
+        _drop_zip_finders()  # so the worker's next task starts without re-reading archives
+        return out
+
+    detected, shared = map_samples(edges, method, s, n, seed, solve, DETECTED_SCHEMA)
+    try:
+        return detected.toArrow().to_pandas()
+    finally:
+        shared.destroy()
 
 
 def ensemfdet(
@@ -198,15 +247,12 @@ def ensemfdet(
 ) -> EnsemFDetRun:
     """Full EnsemFDet pipeline; returns the run with its vote table on the driver.
 
-    One Spark action (sample → solve → collect of the detected rows),
-    then ``vote_table`` on the driver, so timing a call to this function
+    One collect of the edges and one solve job (``detect``), then
+    ``vote_table`` on the driver, so timing a call to this function
     measures the whole sample→solve→vote compute (Table III), and
     reading the votes afterwards runs no Spark job.
     ``spark`` is not used: the pipeline runs in ``edges``' session and
     changes none of its settings.
     """
-    samples = sample_edges_spark(edges, method, s, n, seed)
-    detected = detect_on_samples(samples, k_max=k_max, phi_stop_frac=phi_stop_frac, c=c)
-    table = vote_table(detected.select("sample_id", "side", "node").toPandas())
-    votes = edges.sparkSession.createDataFrame(table, VOTES_SCHEMA)
-    return EnsemFDetRun(votes, method, s, n, k_max, table=table)
+    detected = detect(edges, method, s, n, seed, k_max, phi_stop_frac, c)
+    return EnsemFDetRun(None, method, s, n, k_max, table=vote_table(detected), session=edges.sparkSession)

@@ -9,8 +9,8 @@ The figure harnesses share one evaluation path: ``_ensemble_sweep``
 runs the pipeline (``ensemfdet``: sample → FDET → vote) and sweeps the
 voting threshold T = 1..N, and ``_best`` picks a sweep's best-F1 point;
 Figs. 5, 7 and 8 run their points through ``_best_per_run``.
-Fig. 1 and Fig. 6 read their φ curves and k̂ from ``detect_on_samples``,
-the pipeline's own per-sample solve.
+Fig. 1 and Fig. 6 read their φ curves and k̂ from ``detect``, the
+pipeline's own sample-and-solve step.
 """
 from __future__ import annotations
 
@@ -20,13 +20,12 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.baselines.fbox import fbox_scores
 from repro.baselines.fraudar import fraudar, fraudar_points
 from repro.baselines.spoken import spoken_scores
-from repro.core.ensemble import detect_on_samples, ensemfdet, vote_table
-from repro.core.sampling import METHODS, sample_edges_spark
+from repro.core.ensemble import detect, ensemfdet, vote_table
+from repro.core.sampling import METHODS
 from repro.eval.metrics import prf, score_sweep, threshold_sweep
 from repro.graph.bipartite import BipartiteGraph
 from repro.synth_data import JD_PRESETS, jd_transactions
@@ -202,19 +201,15 @@ def fig1_block_scores(
 ) -> pd.DataFrame:
     """Per-block φ sequences on several sampled graphs (Fig. 1 data).
 
-    The curves are the pipeline's own: one RES ``sample_edges_spark``
-    pass with N = ``n_curves``, solved by ``detect_on_samples`` without
-    truncation (k = 20); each (sample, block) keeps its φ.
+    The curves are the pipeline's own: ``detect`` on N = ``n_curves``
+    RES samples without truncation (k = 20); each (sample, block) keeps
+    its φ.
     """
     edges, _, _, _ = _graph(preset, scale, seed)
-    samples = sample_edges_spark(spark.createDataFrame(edges), "RES", s, n_curves, seed)
-    return (
-        detect_on_samples(samples, k_max=20, truncate=False)
-        .select(F.col("sample_id").alias("sample"), (F.col("block") + 1).alias("block"), "phi")
-        .distinct()
-        .orderBy("sample", "block")
-        .toPandas()
-    )
+    detected = detect(spark.createDataFrame(edges), "RES", s, n_curves, seed, k_max=20, truncate=False)
+    curves = detected[["sample_id", "block", "phi"]].drop_duplicates()
+    curves = curves.rename(columns={"sample_id": "sample"}).assign(block=curves["block"] + 1)
+    return curves.sort_values(["sample", "block"], ignore_index=True)
 
 
 def method_comparison(
@@ -288,24 +283,22 @@ def truncation_comparison(
 ) -> pd.DataFrame:
     """EnsemFDet (truncating point) vs EnsemFDet-FIX-K (Fig. 6).
 
-    Both variants run the pipeline's per-sample solve and vote on the
-    same RES samples (one ``sample_edges_spark`` call): the truncated
-    variant keeps each sample's first k̂ blocks, FIX-K keeps all
-    ``k_fix`` (``truncate=False``). Each variant's detected rows are
-    collected once; its votes (``vote_table``) and its ``max_k_hat``, the
-    largest number of blocks any sample kept (paper: all k̂ < 15), are
-    read from them.
+    Both variants run the pipeline's sample-and-solve step (``detect``)
+    and vote on the same RES samples, which are a pure function of
+    (edges, method, S, N, seed): the truncated variant keeps each
+    sample's first k̂ blocks, FIX-K keeps all ``k_fix``
+    (``truncate=False``). Each variant's votes (``vote_table``) and its
+    ``max_k_hat``, the largest number of blocks any sample kept (paper:
+    all k̂ < 15), are read from its collected detected rows.
     """
     edges, _, truth, _ = _graph(preset, scale, seed)
-    samples = sample_edges_spark(spark.createDataFrame(edges), "RES", s, n, seed).cache()
+    edges_df = spark.createDataFrame(edges)
     rows = []
     for truncate, variant in ((True, "EnsemFDet (truncated)"), (False, f"EnsemFDet-FIX-K (k={k_fix})")):
-        detected = detect_on_samples(samples, k_max=k_fix, truncate=truncate)
-        detected = detected.select("sample_id", "side", "node", "block").toPandas()
+        detected = detect(edges_df, "RES", s, n, seed, k_max=k_fix, truncate=truncate)
         votes = vote_table(detected)
         sweep = threshold_sweep(votes[votes["side"] == "pin"], truth, np.arange(1, n + 1))
         rows.append(dict(variant=variant, **_best(sweep), max_k_hat=int(detected["block"].max()) + 1))
-    samples.unpersist()
     out = pd.DataFrame(rows)
     out.insert(0, "dataset", preset)
     return out

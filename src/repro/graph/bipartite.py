@@ -7,7 +7,7 @@ merchants live in *separate* integer id spaces (a pin id and a merchant
 id may collide numerically without referring to the same node).
 
 This is the in-memory substrate consumed by ``repro.core.peel`` /
-``repro.core.fdet`` inside Spark tasks (via ``applyInArrow``) and by
+``repro.core.fdet`` inside Spark tasks (via ``mapInArrow``) and by
 the driver-side baselines. It is deliberately plain data + numpy: one
 sampled subgraph must deserialize and solve cheaply inside a Python
 worker.

@@ -198,6 +198,61 @@ class TestEnsemFDetEndToEnd:
         finally:
             spark.conf.set("spark.sql.shuffle.partitions", saved)
 
+    @pytest.mark.parametrize("n", [3, 12], ids=["n3", "n12"])
+    def test_solve_runs_min_k_n_tasks_without_exchange(self, spark, jd1_small, monkeypatch, n):
+        """``ensemfdet``'s solve job is one stage of min(k, N) tasks with no
+        Exchange, whatever ``spark.sql.shuffle.partitions`` says."""
+        edges, *_ = jd1_small
+        edges_df = spark.createDataFrame(edges)
+        frames = []
+        map_in_arrow = type(edges_df).mapInArrow
+
+        def capture(self, func, schema, *args, **kwargs):
+            frames.append(map_in_arrow(self, func, schema, *args, **kwargs))
+            return frames[-1]
+
+        monkeypatch.setattr(type(edges_df), "mapInArrow", capture)
+        sc, k = spark.sparkContext, spark.sparkContext.defaultParallelism
+        saved = spark.conf.get("spark.sql.shuffle.partitions")
+        try:
+            for shuffle in (1, 200):
+                spark.conf.set("spark.sql.shuffle.partitions", shuffle)
+                group = f"solve-plan-{n}-{shuffle}"
+                sc.setJobGroup(group, "one ensemfdet call")
+                try:
+                    ensemfdet(spark, edges_df, method="RES", s=0.3, n=n, seed=0)
+                finally:
+                    sc.setLocalProperty("spark.jobGroup.id", None)
+                plan = frames[-1]._jdf.queryExecution().executedPlan().toString()
+                assert "Exchange" not in plan, plan
+                st = sc.statusTracker()
+                solve_job = st.getJobInfo(max(st.getJobIdsForGroup(group)))
+                assert [st.getStageInfo(i).numTasks for i in solve_job.stageIds] == [min(k, n)]
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", saved)
+
+    def test_votes_view_built_on_first_read(self, spark, jd1_small, monkeypatch):
+        """``ensemfdet`` builds no Spark view of its votes; ``run.votes`` builds one, once."""
+        edges, *_ = jd1_small
+        edges_df = spark.createDataFrame(edges)
+        calls = []
+        create = type(spark).createDataFrame
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return create(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(spark), "createDataFrame", counting)
+        run = ensemfdet(spark, edges_df, method="RES", s=0.3, n=4, seed=0)
+        assert not run.pin_votes().empty
+        assert calls == []
+        votes = run.votes
+        assert run.votes is votes
+        assert len(calls) == 1
+        got = votes.toPandas().sort_values(["side", "node"], ignore_index=True)
+        pd.testing.assert_frame_equal(got, run.table, check_dtype=False)
+        votes.unpersist()
+
     def test_empty_input_gives_empty_votes(self, spark):
         run = ensemfdet(spark, spark.createDataFrame([], "pin long, merchant long"), s=0.3, n=4)
         assert run.votes.count() == 0
@@ -245,3 +300,34 @@ class TestEnsemFDetEndToEnd:
         run = ensemfdet(spark, edges_df, method=method, s=s, n=12, seed=0)
         sweep = threshold_sweep(run.pin_votes(), truth, np.arange(1, 13))
         assert sweep["f1"].max() > 0.5
+
+
+class TestInputIds:
+    """Bad ids fail on the driver with a ValueError naming the column and
+    the first bad value, before any sample is drawn or solved."""
+
+    @pytest.fixture(params=["ensemfdet", "sample_edges_spark"])
+    def entry(self, request, spark):
+        if request.param == "ensemfdet":
+            return lambda df: ensemfdet(spark, df, method="RES", s=0.5, n=4, seed=0)
+        return lambda df: sample_edges_spark(df, "RES", 0.5, 4, seed=0)
+
+    def test_null_id(self, spark, entry):
+        df = spark.createDataFrame([(1, 2), (3, 4), (None, 5)], "pin long, merchant long")
+        with pytest.raises(ValueError, match=r"^pin ids .* row 2 holds None"):
+            entry(df)
+
+    def test_negative_id(self, spark, entry):
+        df = spark.createDataFrame([(1, 2), (3, -7), (4, -8)], "pin long, merchant long")
+        with pytest.raises(ValueError, match=r"^merchant ids .* row 1 holds -7"):
+            entry(df)
+
+    @pytest.mark.parametrize(
+        "rows, ddl, first",
+        [([(1.5, 2), (3.0, 4)], "pin double, merchant long", "1.5"), ([("a", 2), ("b", 4)], "pin string, merchant long", "'a'")],
+        ids=["double", "string"],
+    )
+    def test_non_integer_ids(self, spark, entry, rows, ddl, first):
+        df = spark.createDataFrame(rows, ddl)
+        with pytest.raises(ValueError, match=rf"^pin ids .* first {first}$"):
+            entry(df)

@@ -1,14 +1,19 @@
-"""Tests for RES/ONS/TNS sampling, Lemma 1 and Theorem 1, all on the Spark sampler."""
+"""Tests for RES/ONS/TNS sampling, Lemma 1 and Theorem 1, all on the Spark sampler,
+and the sampler's parity with Spark's own ``xxhash64`` predicate."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.density import merchant_weights
-from repro.core.sampling import METHODS, sample_edges_spark
+from repro.core.sampling import METHODS, sample_edges_spark, xxhash64
 from repro.graph.bipartite import BipartiteGraph
+from tests import sampling_reference
 from tests.density_reference import phi
 from tests.oracle import assert_equivalent
+
+#: int64 values at and next to the type's edges, mixed into random ids.
+_EDGE_LONGS = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**31 - 1, 2**31, 2**62, 2**63 - 2, 2**63 - 1]
 
 
 def expected_sampled_degree_counts(
@@ -147,6 +152,89 @@ class TestSparkSamplingSemantics:
             "SELECT sample_id, COUNT(*) AS n_edges FROM samples GROUP BY sample_id",
             samples=out.toPandas(),
         )
+
+
+class TestXxhash64Port:
+    """The numpy port equals Spark's ``F.xxhash64`` (seed 42), column by column."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(5)
+        n = 2000
+        a = np.concatenate([_EDGE_LONGS, rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True)])
+        b = np.concatenate([_EDGE_LONGS[::-1], rng.integers(0, 2**62, n, dtype=np.int64)])
+        i = np.concatenate([[-(2**31), -1, 0, 2**31 - 1] * 2 + [7, 79], rng.integers(0, 80, n)]).astype(np.int32)
+        return pd.DataFrame({"a": a, "b": b, "i": i})
+
+    @pytest.mark.parametrize("seed", [0, 1, -5, 2**31 - 1, 2**31, 2**31 + 1_000_003, -(2**31) - 1])
+    def test_chains_match_spark(self, spark, rows, seed):
+        """Long columns (hashLong), an int column (hashInt) and the seed
+        literal, typed as ``F.lit`` types it: int if it fits 32 bits, else long."""
+        df = spark.createDataFrame(rows, "a long, b long, i int")
+        chains = {"a": ["a"], "a_b": ["a", "b"], "a_i_seed": ["a", "i", F.lit(seed)], "a_b_i_seed": ["a", "b", "i", F.lit(seed)]}
+        got = df.select(*[F.xxhash64(*cols).alias(name) for name, cols in chains.items()]).toPandas()
+        a, b, i = (rows[c].to_numpy() for c in "abi")
+        np.testing.assert_array_equal(got["a"], xxhash64(a))
+        np.testing.assert_array_equal(got["a_b"], xxhash64(a, b))
+        np.testing.assert_array_equal(got["a_i_seed"], xxhash64(a, i, seed))
+        np.testing.assert_array_equal(got["a_b_i_seed"], xxhash64(a, b, i, seed))
+        # a chain resumed from a hashed prefix, as the sampler hashes it
+        np.testing.assert_array_equal(got["a_b_i_seed"], xxhash64(i, seed, seed=xxhash64(a, b)))
+
+    def test_scalar_sample_ids_hash_as_ints(self, rows):
+        """A Python-int sample id chains as the int column it replaces."""
+        a, i = rows["a"].to_numpy()[:50], rows["i"].to_numpy()[:50]
+        per_row = [xxhash64(int(x), 3, seed=p) for x, p in zip(i, xxhash64(a))]
+        np.testing.assert_array_equal(np.array(per_row), xxhash64(a, i, 3))
+
+
+def _large_id_edges(seed: int = 3) -> pd.DataFrame:
+    """Edges over a few hundred large ids (up to 2^62, zero included), with repeated nodes."""
+    rng = np.random.default_rng(seed)
+    pins = np.concatenate([[0, 2**62, 2**63 - 1], rng.integers(0, 2**62, 200)])
+    merchants = np.concatenate([[0, 2**31, 2**62], rng.integers(0, 2**40, 80)])
+    edges = pd.DataFrame({"pin": rng.choice(pins, 1500), "merchant": rng.choice(merchants, 1500)})
+    return edges.drop_duplicates(ignore_index=True)
+
+
+def _sorted(df) -> pd.DataFrame:
+    return df.toPandas().sort_values(["sample_id", "pin", "merchant"], ignore_index=True)
+
+
+class TestMatchesExplodeReference:
+    """The broadcast sampler draws exactly the explode sampler's samples."""
+
+    @pytest.fixture(scope="class")
+    def large_ids_df(self, spark):
+        return spark.createDataFrame(_large_id_edges(), "pin long, merchant long")
+
+    @pytest.mark.parametrize("n", [3, 16], ids=["n3", "n16"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**31], ids=["seed0", "seed1", "seed2^31"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_edges_as_reference(self, spark, large_ids_df, method, seed, n):
+        """N below and above the session's k = defaultParallelism (4 on
+        a 4-core box): every sample equals the reference's, edge for edge."""
+        s = 0.5 if method == "TNS" else 0.3
+        want = _sorted(sampling_reference.sample_edges_spark(large_ids_df, method, s, n, seed))
+        got = _sorted(sample_edges_spark(large_ids_df, method, s, n, seed))
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(got, want)
+
+    def test_other_columns_and_order_do_not_matter(self, spark, large_ids_df):
+        """A frame with more columns, or (merchant, pin) order, gives the same samples."""
+        wide = large_ids_df.select(F.lit(1.5).alias("w"), "merchant", "pin")
+        want = _sorted(sample_edges_spark(large_ids_df, "TNS", 0.5, 3, seed=1))
+        pd.testing.assert_frame_equal(_sorted(sample_edges_spark(wide, "TNS", 0.5, 3, seed=1)), want)
+
+    @pytest.mark.parametrize("method", ["RES", "TNS"])
+    def test_int_typed_ids_hash_as_ints(self, spark, method):
+        """Int-typed id columns hash through hashInt, as Spark hashes them."""
+        edges = _large_id_edges() % (2**31 - 1)
+        df = spark.createDataFrame(edges.drop_duplicates(ignore_index=True), "pin int, merchant int")
+        want = sampling_reference.sample_edges_spark(df, method, 0.5, 5, seed=2)
+        got = sample_edges_spark(df, method, 0.5, 5, seed=2)
+        assert got.dtypes == want.dtypes
+        pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
 
 
 class TestLemma1:

@@ -1,5 +1,5 @@
-"""The Python side of the grouped solve: ``_solve_group``'s Arrow output table
-and the solver closure's pruning of cached zip-archive finders."""
+"""The Python side of the solve: ``_solve_group``'s Arrow output table and
+the solver closures' pruning of cached zip-archive finders."""
 import importlib
 import sys
 import zipfile
@@ -12,7 +12,7 @@ import pytest
 from pyspark.sql.group import GroupedData
 
 from repro.core import ensemble
-from repro.core.ensemble import DETECTED_SCHEMA, _solve_group, detect_on_samples
+from repro.core.ensemble import DETECTED_SCHEMA, _solve_group, detect, detect_on_samples
 from repro.core.fdet import FdetResult
 from repro.core.peel import PeelResult
 from repro.core.sampling import sample_edges_spark
@@ -78,7 +78,8 @@ def test_block_with_an_empty_side_emits_no_rows_for_it(jd1_samples, monkeypatch)
     }
 
 
-def test_solver_drops_zip_finders_and_zip_imports_still_work(spark, jd1_samples, tmp_path, monkeypatch):
+def _zipped_modules(tmp_path, monkeypatch):
+    """An archive on ``sys.path`` with a cached ``zipimporter``, and a module of it not yet imported."""
     archive = tmp_path / "zipped_modules.zip"
     with zipfile.ZipFile(archive, "w") as zf:
         zf.writestr("zipped_first.py", "VALUE = 1\n")
@@ -89,6 +90,14 @@ def test_solver_drops_zip_finders_and_zip_imports_still_work(spark, jd1_samples,
     assert importlib.import_module("zipped_first").VALUE == 1
     assert isinstance(sys.path_importer_cache[str(archive)], zipimport.zipimporter)
 
+
+def _assert_zip_finders_dropped_and_imports_work() -> None:
+    assert not [f for f in sys.path_importer_cache.values() if isinstance(f, zipimport.zipimporter)]
+    assert importlib.import_module("zipped_second").VALUE == 2
+
+
+def test_solver_drops_zip_finders_and_zip_imports_still_work(spark, jd1_samples, tmp_path, monkeypatch):
+    _zipped_modules(tmp_path, monkeypatch)
     solvers = []
     apply_in_arrow = GroupedData.applyInArrow
 
@@ -101,6 +110,27 @@ def test_solver_drops_zip_finders_and_zip_imports_still_work(spark, jd1_samples,
     (solver,) = solvers
     group = _table(jd1_samples[0])
     assert solver(group).equals(_solve_group(group, 30, 0.05, 5.0, True))
+    _assert_zip_finders_dropped_and_imports_work()
 
-    assert not [f for f in sys.path_importer_cache.values() if isinstance(f, zipimport.zipimporter)]
-    assert importlib.import_module("zipped_second").VALUE == 2
+
+def test_fused_solver_drops_zip_finders_and_zip_imports_still_work(spark, jd1_small, tmp_path, monkeypatch):
+    """``detect``'s sample-and-solve task, run on the driver for sample 0
+    while its broadcast is live, solves that sample and drops the finders."""
+    edges, *_ = jd1_small
+    edges_df = spark.createDataFrame(edges)
+    want = sample_edges_spark(edges_df, "RES", 0.3, 1, seed=0).toPandas()
+    _zipped_modules(tmp_path, monkeypatch)
+    outputs = []
+    map_in_arrow = type(edges_df).mapInArrow
+
+    def capture(self, func, schema, *args, **kwargs):
+        ids = pa.RecordBatch.from_pydict({"id": pa.array([0], pa.int64())})
+        outputs.append(pa.Table.from_batches(list(func(iter([ids])))))
+        return map_in_arrow(self, func, schema, *args, **kwargs)
+
+    monkeypatch.setattr(type(edges_df), "mapInArrow", capture)
+    detect(edges_df, "RES", 0.3, 1, seed=0)
+    (out,) = outputs
+    sample = _table(want.astype({"sample_id": "int64"}))
+    assert out.equals(_solve_group(sample, 30, 0.05, 5.0, True))
+    _assert_zip_finders_dropped_and_imports_work()
